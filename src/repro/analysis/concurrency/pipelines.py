@@ -2,12 +2,12 @@
 
 The CON004/CON005 checks are whole-protocol facts, not single-line AST
 patterns, but they still belong in the lint gate — the wiring they
-prove safe lives in ``repro.pipeline.runner``, so the findings anchor
-there and flow through the same fingerprint/baseline/suppression
-machinery as every other rule.  Each ``repro lint src`` run therefore
-*re-proves* the paper's three arrangements deadlock-free; a wiring edit
-that introduces a cyclic rendezvous turns up as a new CON004 finding on
-``runner.py`` in the same report as any determinism lint.
+prove safe lives in the stage graph, ``repro.pipeline.stages``, so the
+findings anchor there and flow through the same fingerprint/baseline/
+suppression machinery as every other rule.  Each ``repro lint src`` run
+therefore *re-proves* the paper's three arrangements deadlock-free; a
+wiring edit that introduces a cyclic rendezvous turns up as a new CON004
+finding on ``stages.py`` in the same report as any determinism lint.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # import only for typing: lints imports us at runtime
 __all__ = ["paper_protocol_issues", "protocol_findings"]
 
 #: the module whose wiring the protocol checks prove facts about
-_ANCHOR_MODULE = "repro.pipeline.runner"
+_ANCHOR_MODULE = "repro.pipeline.stages"
 
 #: pipeline counts exercised per (config, arrangement): 1 covers the
 #: degenerate single-pipeline wiring, 2 covers cross-pipeline fan-out
@@ -53,7 +53,7 @@ def paper_protocol_issues() -> Tuple[Tuple[str, str], ...]:
 
 def protocol_findings(ctx: "LintContext", rule_id: str
                       ) -> Iterator[Tuple[ast.AST, str]]:
-    """Findings of one protocol rule, anchored at the runner module.
+    """Findings of one protocol rule, anchored at the stage-graph module.
 
     Shared by the CON004/CON005 :class:`~repro.analysis.lints.engine.
     Rule` wrappers in :mod:`repro.analysis.lints.rules`.

@@ -11,9 +11,9 @@ channel state is bounded, so exhaustive abstract execution of one
 protocol is exact — if the abstract run gets stuck, the real run
 deadlocks on the same wait-for cycle, and vice versa.
 
-:mod:`repro.pipeline.protocol` extracts the IR from a runner
-configuration (mirroring ``PipelineRunner._build_parallel`` without
-executing anything); this module executes the IR abstractly:
+:mod:`repro.pipeline.protocol` projects the IR from a configuration's
+stage graph without executing anything; this module executes the IR
+abstractly:
 
 ``CON004``
     the abstract run reaches a state where unfinished processes exist

@@ -56,6 +56,7 @@ import numpy as np
 
 from ..host import MCPCConfig
 from ..pipeline.metrics import RunMetrics, RunResult
+from ..pipeline.stages import DOWNLINK_CONFIG, QUEUE_CAPACITY, Stage
 from ..scc import SCCChip
 from ..scc.topology import NUM_MEMORY_CONTROLLERS, SIF_LOCATION
 from ..sim import Simulator, TimeSeries
@@ -200,20 +201,44 @@ def _idle_value(t: float, wait_start: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# actors: one per pipeline stage
+# actors: one per stage of the graph
 # ---------------------------------------------------------------------------
 
-class _Actor:
-    """One stage as a coarse-op generator plus its schedulable state."""
+#: compiled step codes, one per op of a stage program (the step layouts
+#: are listed in ``BatchedEngine._compile``)
+_SEND, _RECV, _COMPUTE, _PROG, _GET, _PUT, _DOWNLINK = range(7)
 
-    def __init__(self, eng: "BatchedEngine", key: str, core_id: int) -> None:
+Step = Tuple[int, Any, Any, Any, Any]
+
+
+class _Actor:
+    """One stage of the graph as a coarse-op generator plus its state.
+
+    The body walks the stage's compiled program once per frame; where an
+    op sits decides the accounting (births for sources, the idle sample
+    at the first input, the busy span after the last input).
+    """
+
+    def __init__(self, eng: "BatchedEngine", stage: Stage,
+                 steps: List[Step],
+                 frame_compute: Optional[Callable[[int], float]],
+                 post_compute: float) -> None:
         self.eng = eng
-        #: metrics base key ("render", "sepia", "transfer", ...)
-        self.key = key
-        #: telemetry track (the event stage's per-instance key, e.g.
-        #: "sepia[0]"); subclasses with suffixed instances override it
-        self.span_key = key
-        self.core_id = core_id
+        #: metrics key ("render", "sepia", "transfer", ...)
+        self.key = stage.key
+        #: telemetry track (the per-instance key, e.g. "sepia[0]")
+        self.span_key = stage.track
+        self.core_id = -1 if stage.core is None else stage.core
+        self.steps = steps
+        #: no input ops: marks frame births at the loop top
+        self.source = stage.inputs == 0
+        #: the completion stage anchors the steady-state snapshots
+        self.trigger = (not self.source and any(
+            step[0] == _DOWNLINK for step in steps))
+        #: seconds of the per-frame compute (None: the same every frame)
+        self.frame_compute = frame_compute
+        #: fixed seconds between that compute and the first output
+        self.post_compute = post_compute
         self.t = 0.0
         self.frame = 0
         #: op counter since the last anchor (part of the phase signature)
@@ -231,6 +256,14 @@ class _Actor:
         # across a yield — the jump shifts these attributes instead
         self.wait_start: Optional[float] = None
         self.span_start: Optional[float] = None
+        self.seg_start: Optional[float] = None
+        # last completed frame's loop top -> first output grant window
+        # (a duration, jump-safe) and whether that grant had to wait
+        self.obs_window = 0.0
+        self.obs_blocked = False
+        # host compute in flight (MCPC power segments)
+        self.in_compute = False
+        self.cur_dur = 0.0
 
     def anchor(self) -> None:
         """Mark the top of a frame loop (the periodicity reference)."""
@@ -239,14 +272,106 @@ class _Actor:
         self.op_i = 0
 
     def body(self) -> Generator[Op, Any, None]:
-        raise NotImplementedError
+        eng = self.eng
+        synth = eng.synth
+        idle = eng.idle_samples.get(self.key, [])
+        busy = eng.busy_samples.get(self.key, [])
+        births = eng.births
+        host = self.core_id < 0
+        steps = self.steps
+        while self.frame < eng.frames:
+            self.anchor()
+            if self.trigger:
+                eng.on_trigger_anchor(self)
+            if self.source:
+                self.span_start = self.t
+                births.setdefault(self.frame, self.t)
+            for code, a, b, c, d in steps:
+                if code == _SEND:
+                    # RCCE send: rendezvous token, deposit, data-ready
+                    self.wait_start = self.t
+                    yield ("g", a.recv_posted)
+                    if d:
+                        self._observe()
+                    if synth is not None:
+                        synth.rendezvous(a.src, a.dst, self.wait_start,
+                                         self.t, c, self.frame)
+                    yield ("s", b)
+                    yield ("p", a.data_ready, (c, self.frame))
+                    if synth is not None:
+                        synth.delivered(c)
+                elif code == _RECV:
+                    # RCCE recv: post the token, wait, fetch the message
+                    yield ("p", a.recv_posted, None)
+                    self.wait_start = self.t
+                    yield ("g", a.data_ready)
+                    if c:
+                        # Fig. 15 idle counts only the first input's wait;
+                        # later inputs' waits are span-only (detail only)
+                        idle.append(_idle_value(self.t, self.wait_start))
+                        if synth is not None:
+                            synth.stage_idle(self.span_key, self.t,
+                                             self.t - self.wait_start)
+                    elif synth is not None:
+                        synth.stage_wait(self.span_key, self.t,
+                                         self.t - self.wait_start, a.src)
+                    yield ("s", b)
+                    if d:
+                        self.span_start = self.t
+                elif code == _COMPUTE:
+                    dur = a if b is None else b(self.frame)
+                    if host:
+                        self.seg_start = self.t
+                        self.cur_dur = dur
+                        self.in_compute = True
+                        yield ("d", dur)
+                        self.in_compute = False
+                        eng.mcpc_segments.append((self.seg_start, dur))
+                    else:
+                        yield ("d", dur)
+                elif code == _PROG:
+                    yield ("s", a)
+                elif code == _GET:
+                    self.wait_start = self.t
+                    yield ("g", a)
+                    if c:
+                        idle.append(_idle_value(self.t, self.wait_start))
+                        if synth is not None:
+                            synth.stage_idle(self.span_key, self.t,
+                                             self.t - self.wait_start)
+                    if d:
+                        self.span_start = self.t
+                elif code == _PUT:
+                    self.wait_start = self.t
+                    yield ("p", a, (self.frame, None))
+                    if d:
+                        self._observe()
+                else:  # _DOWNLINK
+                    yield ("s", a)
+                    eng.record_completion(self.frame, self.t)
+            start = self.span_start
+            assert start is not None
+            if host:
+                if synth is not None:
+                    synth.host_busy(self.span_key, start, self.t, self.frame)
+            else:
+                busy.append(self.t - start)
+                if synth is not None:
+                    synth.stage_busy(self.span_key, start, self.t, self.frame)
+            self.frame += 1
+
+    def _observe(self) -> None:
+        """Record the blocking window at the first output grant."""
+        assert self.span_start is not None and self.wait_start is not None
+        self.obs_window = self.t - self.span_start
+        self.obs_blocked = self.t > self.wait_start
 
     # -- jump hooks -------------------------------------------------------
     def shift(self, s: float, j: int) -> None:
         """Advance every absolute time by ``s`` and renumber frames."""
         self.t += s
         for attr in ("wait_start", "span_start", "anchor_t",
-                     "prev_anchor_t"):
+                     "prev_anchor_t", "seg_start"):
             v = getattr(self, attr)
             if v is not None:
                 setattr(self, attr, v + s)
@@ -265,453 +390,58 @@ class _Actor:
     def budget_ok(self, j: int, delta: float) -> bool:
         """May the next ``j`` frames be skipped despite varying costs?
 
-        Stages with frame-independent costs always agree; the renderer
-        actors override this with their blocking-window checks.
+        Stages with frame-independent costs always agree.  A stage with
+        a per-frame compute must have blocked at its first output grant
+        (the downstream grant arrives at a pinned period), and each of
+        the next ``j + 1`` frames' compute must fit inside the observed
+        window minus the fixed time after the compute — then its output
+        times stay on the observed schedule and the variation is
+        invisible downstream.
         """
-        return True
-
-    def synthesize(self, j: int, delta: float) -> None:
-        """Record the per-actor side effects of ``j`` skipped frames."""
-
-    def __repr__(self) -> str:
-        return (f"<{type(self).__name__} {self.key!r} core={self.core_id} "
-                f"t={self.t:.6f} frame={self.frame}>")
-
-
-def _send_ops(actor: _Actor, chan: _Chan, write_prog: Prog, nbytes: int,
-              tag_of: Callable[[], int]) -> Generator[Op, Any, None]:
-    """RCCE send: rendezvous token, deposit payload, signal data-ready.
-
-    ``tag_of`` is read at each use point rather than captured by value:
-    a wave jump renumbers in-flight frames (``f -> f+j``), and a sender
-    parked mid-send must stamp the *renumbered* tag on the message and
-    its telemetry, exactly as the event engine (whose stages would be
-    ``j`` frames further along) would have.
-    """
-    synth = actor.eng.synth
-    actor.wait_start = actor.t
-    yield ("g", chan.recv_posted)
-    if synth is not None:
-        assert actor.wait_start is not None
-        synth.rendezvous(chan.src, chan.dst, actor.wait_start, actor.t,
-                         nbytes, tag_of())
-    yield ("s", write_prog)
-    yield ("p", chan.data_ready, (nbytes, tag_of()))
-    if synth is not None:
-        synth.delivered(nbytes)
-
-
-class _FilterActor(_Actor):
-    """One silent-film filter on one core of one pipeline."""
-
-    def __init__(self, eng: "BatchedEngine", key: str, span_key: str,
-                 core_id: int, in_chan: _Chan, out_chan: _Chan,
-                 read_prog: Prog, compute_d: float, write_prog: Prog,
-                 nbytes: int) -> None:
-        super().__init__(eng, key, core_id)
-        self.span_key = span_key
-        self.in_chan = in_chan
-        self.out_chan = out_chan
-        self.read_prog = read_prog
-        self.compute_d = compute_d
-        self.write_prog = write_prog
-        self.nbytes = nbytes
-        #: in-flight message (nbytes, tag); the jump renumbers its tag
-        self.cur_item: Optional[Tuple[int, int]] = None
-
-    def body(self) -> Generator[Op, Any, None]:
-        eng = self.eng
-        synth = eng.synth
-        idle = eng.idle_samples[self.key]
-        busy = eng.busy_samples[self.key]
-        while self.frame < eng.frames:
-            self.anchor()
-            # recv: post the token, wait for data, fetch from partition
-            yield ("p", self.in_chan.recv_posted, None)
-            self.wait_start = self.t
-            item = yield ("g", self.in_chan.data_ready)
-            self.cur_item = item
-            idle.append(_idle_value(self.t, self.wait_start))
-            if synth is not None:
-                assert self.wait_start is not None
-                synth.stage_idle(self.span_key, self.t, self.wait_start)
-            yield ("s", self.read_prog)
-            self.span_start = self.t
-            yield ("d", self.compute_d)
-            yield from _send_ops(self, self.out_chan, self.write_prog,
-                                 self.nbytes, self._cur_tag)
-            busy.append(self.t - self.span_start)
-            if synth is not None:
-                assert self.span_start is not None
-                synth.stage_busy(self.span_key, self.span_start, self.t,
-                                 self.cur_item[1])
-            self.frame += 1
-
-    def _cur_tag(self) -> int:
-        assert self.cur_item is not None
-        return self.cur_item[1]
-
-    def shift(self, s: float, j: int) -> None:
-        super().shift(s, j)
-        if self.cur_item is not None:
-            self.cur_item = (self.cur_item[0], self.cur_item[1] + j)
-
-
-class _TransferActor(_Actor):
-    """Collects every pipeline's strip, assembles, ships to the viewer.
-
-    This is the completion stage, so it is also the engine's periodicity
-    *trigger*: its frame-loop anchor takes the steady-state snapshot.
-    """
-
-    def __init__(self, eng: "BatchedEngine", core_id: int,
-                 in_chans: List[_Chan], read_progs: List[Prog],
-                 assemble_d: float, downlink_prog: Prog) -> None:
-        super().__init__(eng, "transfer", core_id)
-        self.in_chans = in_chans
-        self.read_progs = read_progs
-        self.assemble_d = assemble_d
-        self.downlink_prog = downlink_prog
-
-    def body(self) -> Generator[Op, Any, None]:
-        eng = self.eng
-        synth = eng.synth
-        idle = eng.idle_samples[self.key]
-        busy = eng.busy_samples[self.key]
-        n = len(self.in_chans)
-        while self.frame < eng.frames:
-            self.anchor()
-            eng.on_trigger_anchor(self)
-            for p in range(n):
-                chan = self.in_chans[p]
-                yield ("p", chan.recv_posted, None)
-                self.wait_start = self.t
-                yield ("g", chan.data_ready)
-                if p == 0:
-                    # Fig. 15 idle counts only the first strip's wait;
-                    # later strips' waits are span-only (ignored when
-                    # telemetry is off), exactly like TransferStage.
-                    idle.append(_idle_value(self.t, self.wait_start))
-                    if synth is not None:
-                        assert self.wait_start is not None
-                        synth.stage_idle(self.span_key, self.t,
-                                         self.wait_start)
-                elif synth is not None:
-                    assert self.wait_start is not None
-                    synth.transfer_wait(self.span_key, self.t,
-                                        self.wait_start, chan.src)
-                yield ("s", self.read_progs[p])
-            self.span_start = self.t
-            yield ("d", self.assemble_d)
-            yield ("s", self.downlink_prog)
-            eng.record_completion(self.frame, self.t)
-            busy.append(self.t - self.span_start)
-            if synth is not None:
-                assert self.span_start is not None
-                synth.stage_busy(self.span_key, self.span_start, self.t,
-                                 self.frame)
-            self.frame += 1
-
-
-class _ConnectActor(_Actor):
-    """mcpc_renderer's SCC-side stage: SIF -> partition -> pipelines."""
-
-    def __init__(self, eng: "BatchedEngine", core_id: int, queue: _Store,
-                 sif_prog: Prog, compute_d: float, write_own_prog: Prog,
-                 out_chans: List[_Chan], write_progs: List[Prog],
-                 strip_nbytes: List[int]) -> None:
-        super().__init__(eng, "connect", core_id)
-        self.queue = queue
-        self.sif_prog = sif_prog
-        self.compute_d = compute_d
-        self.write_own_prog = write_own_prog
-        self.out_chans = out_chans
-        self.write_progs = write_progs
-        self.strip_nbytes = strip_nbytes
-        #: in-flight queue item (frame, img); the jump renumbers its frame
-        self.cur_item: Optional[Tuple[int, Any]] = None
-
-    def _cur_frame(self) -> int:
-        assert self.cur_item is not None
-        return self.cur_item[0]
-
-    def body(self) -> Generator[Op, Any, None]:
-        eng = self.eng
-        synth = eng.synth
-        idle = eng.idle_samples[self.key]
-        busy = eng.busy_samples[self.key]
-        n = len(self.out_chans)
-        while self.frame < eng.frames:
-            self.anchor()
-            self.wait_start = self.t
-            item = yield ("g", self.queue)
-            self.cur_item = item
-            idle.append(_idle_value(self.t, self.wait_start))
-            if synth is not None:
-                assert self.wait_start is not None
-                synth.stage_idle(self.span_key, self.t, self.wait_start)
-            self.span_start = self.t
-            yield ("s", self.sif_prog)
-            yield ("d", self.compute_d)
-            yield ("s", self.write_own_prog)
-            for p in range(n):
-                yield from _send_ops(self, self.out_chans[p],
-                                     self.write_progs[p],
-                                     self.strip_nbytes[p], self._cur_frame)
-            busy.append(self.t - self.span_start)
-            if synth is not None:
-                assert self.span_start is not None
-                synth.stage_busy(self.span_key, self.span_start, self.t,
-                                 self._cur_frame())
-            self.frame += 1
-
-    def shift(self, s: float, j: int) -> None:
-        super().shift(s, j)
-        if self.cur_item is not None:
-            self.cur_item = (self.cur_item[0] + j, self.cur_item[1])
-
-
-class _SingleRendererActor(_Actor):
-    """one_renderer's render core: full frame, strip sends to pipelines."""
-
-    varies = True
-
-    def __init__(self, eng: "BatchedEngine", core_id: int, key: str,
-                 out_chans: List[_Chan], write_progs: List[Prog],
-                 strip_nbytes: List[int]) -> None:
-        super().__init__(eng, key, core_id)
-        self.out_chans = out_chans
-        self.write_progs = write_progs
-        self.strip_nbytes = strip_nbytes
-        # observed blocking window of the last completed frame: loop top
-        # -> first rendezvous token grant (durations, jump-safe)
-        self.obs_window = 0.0
-        self.obs_blocked = False
-        self.first_arr: Optional[float] = None
-
-    def _frame_compute(self, frame: int) -> float:
-        eng = self.eng
-        return eng.chip.compute_time(
-            self.core_id,
-            eng.cost.render_seconds(eng.workload.profile(frame)))
-
-    def body(self) -> Generator[Op, Any, None]:
-        eng = self.eng
-        synth = eng.synth
-        busy = eng.busy_samples[self.key]
-        births = eng.births
-        n = len(self.out_chans)
-        while self.frame < eng.frames:
-            self.anchor()
-            self.span_start = self.t
-            births.setdefault(self.frame, self.t)
-            yield ("d", self._frame_compute(self.frame))
-            self.first_arr = self.t
-            for p in range(n):
-                chan = self.out_chans[p]
-                self.wait_start = self.t
-                yield ("g", chan.recv_posted)
-                if p == 0:
-                    self.obs_window = self.t - self.span_start
-                    self.obs_blocked = self.t > self.first_arr
-                if synth is not None:
-                    assert self.wait_start is not None
-                    synth.rendezvous(chan.src, chan.dst, self.wait_start,
-                                     self.t, self.strip_nbytes[p],
-                                     self.frame)
-                yield ("s", self.write_progs[p])
-                yield ("p", chan.data_ready,
-                       (self.strip_nbytes[p], self.frame))
-                if synth is not None:
-                    synth.delivered(self.strip_nbytes[p])
-            busy.append(self.t - self.span_start)
-            if synth is not None:
-                assert self.span_start is not None
-                synth.stage_busy(self.span_key, self.span_start, self.t,
-                                 self.frame)
-            self.frame += 1
-
-    def shift(self, s: float, j: int) -> None:
-        super().shift(s, j)
-        if self.first_arr is not None:
-            self.first_arr += s
-
-    def budget_ok(self, j: int, delta: float) -> bool:
-        """Skipped frames must fit inside the observed blocking window.
-
-        The downstream token arrives at a pinned period; as long as each
-        skipped frame's compute ends before its token would have been
-        granted, the renderer's output times stay on the observed
-        schedule and the variation is invisible downstream.
-        """
+        frame_compute = self.frame_compute
+        if frame_compute is None:
+            return True
         if not self.obs_blocked:
             return False
-        costs = np.array([self._frame_compute(f)
-                          for f in range(self.frame, self.frame + j + 1)])
-        return bool(np.max(costs) <= self.obs_window - _RTOL * delta)
-
-    def synthesize(self, j: int, delta: float) -> None:
-        births = self.eng.births
-        assert self.span_start is not None
-        for i in range(1, j):
-            f = self.frame + i
-            v = self.span_start + i * delta
-            if f not in births or v < births[f]:
-                births[f] = v
-
-
-class _StripRendererActor(_SingleRendererActor):
-    """n_renderers' per-pipeline sort-first renderer."""
-
-    def __init__(self, eng: "BatchedEngine", core_id: int, pipeline: int,
-                 out_chan: _Chan, write_prog: Prog, nbytes: int) -> None:
-        super().__init__(eng, core_id, "render", [out_chan], [write_prog],
-                         [nbytes])
-        self.pipeline = pipeline
-        self.span_key = f"render[{pipeline}]"
-
-    def _frame_compute(self, frame: int) -> float:
-        eng = self.eng
-        profile = eng.workload.profile(frame, self.pipeline,
-                                       eng.num_pipelines)
-        return eng.chip.compute_time(
-            self.core_id, eng.cost.render_seconds(profile, sort_first=True))
-
-
-class _MCPCActor(_Actor):
-    """mcpc_renderer's host process: render, uplink, enqueue."""
-
-    varies = True
-
-    def __init__(self, eng: "BatchedEngine", queue: _Store,
-                 uplink_prog: Prog, uplink_seconds: float) -> None:
-        super().__init__(eng, "mcpc-render", -1)
-        self.queue = queue
-        self.uplink_prog = uplink_prog
-        #: static uplink occupancy + latency per frame
-        self.uplink_seconds = uplink_seconds
-        self.in_compute = False
-        self.seg_start: Optional[float] = None
-        self.cur_dur = 0.0
-        self.post_t: Optional[float] = None
-        #: jump-safe loop-top time (start of the host busy span)
-        self.loop_top: Optional[float] = None
-        # last completed frame's loop-top -> put-grant window (duration)
-        self.obs_window = 0.0
-        self.obs_blocked = False
-
-    def _frame_compute(self, frame: int) -> float:
-        eng = self.eng
-        return (eng.cost.render_seconds(eng.workload.profile(frame))
-                / eng.mcpc_config.speedup_vs_scc_core)
-
-    def body(self) -> Generator[Op, Any, None]:
-        eng = self.eng
-        synth = eng.synth
-        births = eng.births
-        while self.frame < eng.frames:
-            self.anchor()
-            top = self.t
-            self.loop_top = self.t
-            births.setdefault(self.frame, self.t)
-            d = self._frame_compute(self.frame)
-            self.seg_start = self.t
-            self.cur_dur = d
-            self.in_compute = True
-            yield ("d", d)
-            self.in_compute = False
-            eng.mcpc_segments.append((self.seg_start, d))
-            yield ("s", self.uplink_prog)
-            self.post_t = self.t
-            yield ("p", self.queue, (self.frame, None))
-            if synth is not None:
-                assert self.loop_top is not None
-                synth.host_busy(self.loop_top, self.t, self.frame)
-            self.obs_window = self.t - top
-            self.obs_blocked = self.t > self.post_t
-            self.frame += 1
-
-    def shift(self, s: float, j: int) -> None:
-        super().shift(s, j)
-        if self.seg_start is not None:
-            self.seg_start += s
-        if self.post_t is not None:
-            self.post_t += s
-        if self.loop_top is not None:
-            self.loop_top += s
-
-    def budget_ok(self, j: int, delta: float) -> bool:
-        """Render + uplink of every skipped frame must fit the observed
-        loop-top -> put-grant window (the capacity-2 SIF socket is what
-        pins the host to the connect stage's period)."""
-        if not self.obs_blocked:
-            return False
-        allowed = self.obs_window - self.uplink_seconds - _RTOL * delta
-        costs = np.array([self._frame_compute(f)
+        allowed = self.obs_window - self.post_compute - _RTOL * delta
+        costs = np.array([frame_compute(f)
                           for f in range(self.frame, self.frame + j + 1)])
         return bool(np.max(costs) <= allowed)
 
     def synthesize(self, j: int, delta: float) -> None:
-        """Power segments and births for the skipped host frames.
+        """Births and host power segments of ``j`` skipped frames.
 
-        Real per-frame render costs are used for the synthetic segments;
-        only the renamed in-flight frame keeps its old duration (a
-        cost-swap well inside the committed energy tolerance).
+        The host's synthetic segments use the real per-frame render
+        costs; only the renamed in-flight frame keeps its old duration
+        (a cost-swap well inside the committed energy tolerance).
         """
         eng = self.eng
-        births = eng.births
         a0 = self.frame
-        assert self.seg_start is not None and self.anchor_t is not None
-        base = self.seg_start
-        if self.in_compute:
-            # the pending segment becomes frame a0+j's (shifted later);
-            # record frame a0's segment as the event engine would have
-            eng.mcpc_segments.append((base, self.cur_dur))
-            middle = range(1, j)
-        else:
-            middle = range(1, j + 1)
-        for i in middle:
-            eng.mcpc_segments.append((base + i * delta,
-                                      self._frame_compute(a0 + i)))
-        for i in range(1, j):
-            births.setdefault(a0 + i, self.anchor_t + i * delta)
+        if self.core_id < 0 and self.frame_compute is not None:
+            assert self.seg_start is not None
+            base = self.seg_start
+            if self.in_compute:
+                # the pending segment becomes frame a0+j's (shifted
+                # later); record frame a0's as the event engine would
+                eng.mcpc_segments.append((base, self.cur_dur))
+                middle = range(1, j)
+            else:
+                middle = range(1, j + 1)
+            for i in middle:
+                eng.mcpc_segments.append((base + i * delta,
+                                          self.frame_compute(a0 + i)))
+        if self.source:
+            births = eng.births
+            assert self.anchor_t is not None
+            for i in range(1, j):
+                f = a0 + i
+                v = self.anchor_t + i * delta
+                if f not in births or v < births[f]:
+                    births[f] = v
 
-
-class _SingleCoreActor(_Actor):
-    """The 382 s baseline; frame costs vary, so it never jumps — the
-    coarse loop alone (two ops per frame) is already near-free."""
-
-    varies = True
-
-    def __init__(self, eng: "BatchedEngine", core_id: int,
-                 downlink_prog: Prog) -> None:
-        super().__init__(eng, "single-core", core_id)
-        self.downlink_prog = downlink_prog
-
-    def body(self) -> Generator[Op, Any, None]:
-        eng = self.eng
-        synth = eng.synth
-        busy = eng.busy_samples[self.key]
-        births = eng.births
-        while self.frame < eng.frames:
-            self.anchor()
-            self.span_start = self.t
-            births.setdefault(self.frame, self.t)
-            yield ("d", eng.chip.compute_time(
-                self.core_id,
-                eng.cost.single_core_frame_seconds(
-                    eng.workload.profile(self.frame))))
-            yield ("s", self.downlink_prog)
-            eng.record_completion(self.frame, self.t)
-            busy.append(self.t - self.span_start)
-            if synth is not None:
-                assert self.span_start is not None
-                synth.stage_busy(self.span_key, self.span_start, self.t,
-                                 self.frame)
-            self.frame += 1
-
-    def budget_ok(self, j: int, delta: float) -> bool:
-        return False
+    def __repr__(self) -> str:
+        return (f"<_Actor {self.span_key!r} core={self.core_id} "
+                f"t={self.t:.6f} frame={self.frame}>")
 
 
 # ---------------------------------------------------------------------------
@@ -749,9 +479,9 @@ class _Snapshot:
 class BatchedEngine:
     """Coarse-op scheduler with steady-state frame-wave jumps.
 
-    Construction mirrors ``PipelineRunner.run``'s build phase (same
-    placement, same frequency-plan application, same stage order) and
-    ``run()`` returns the same :class:`RunResult` the event engine
+    Construction reads the runner's stage graph (same placement, same
+    frequency-plan application, same stage order as the event runner)
+    and ``run()`` returns the same :class:`RunResult` the event engine
     would, within the committed ``repro diff`` tolerances.
     """
 
@@ -856,17 +586,12 @@ class BatchedEngine:
         prog.append((None, nbytes / cfg.core_copy_bandwidth, None))
         return prog
 
-    def _read_own_prog(self, core: int, nbytes: int) -> Prog:
+    def _own_prog(self, core: int, nbytes: int, inbound: bool) -> Prog:
+        """A read (``inbound``) or write of the core's own partition."""
         cfg = self.chip.memory.config
         if cfg.local_memory:
             return [(None, nbytes / cfg.local_bandwidth, None)]
-        return self._dram_prog(core, core, nbytes, True)
-
-    def _write_own_prog(self, core: int, nbytes: int) -> Prog:
-        cfg = self.chip.memory.config
-        if cfg.local_memory:
-            return [(None, nbytes / cfg.local_bandwidth, None)]
-        return self._dram_prog(core, core, nbytes, False)
+        return self._dram_prog(core, core, nbytes, inbound)
 
     def _write_to_prog(self, src: int, dst: int, nbytes: int) -> Prog:
         cfg = self.chip.memory.config
@@ -894,156 +619,34 @@ class BatchedEngine:
             self.stores.append(chan.data_ready)
         return chan
 
-    def _samples_for(self, key: str) -> None:
-        self.idle_samples.setdefault(key, [])
-        self.busy_samples.setdefault(key, [])
+    def _queue(self, name: str) -> _Store:
+        store = self._queues.get(name)
+        if store is None:
+            store = self._queues[name] = _Store(
+                capacity=QUEUE_CAPACITY[name],
+                shift=lambda item, j: (item[0] + j, item[1]))
+            self.stores.append(store)
+        return store
 
     # -- build ------------------------------------------------------------
     def _build(self) -> None:
-        from ..pipeline.runner import DOWNLINK_CONFIG
-
         runner = self.runner
         placement = runner._build_placement()
         self.placement = placement
-        wl = self.workload
-        chip = self.chip
-        cost = self.cost
-        downlink_res = self._new_res()
-        frame_bytes = wl.frame_bytes()
-
-        if runner.config == "single_core":
-            core = placement.input_cores[0]
-            active_cores = [core]
-            runner._stage_cores = {"single-core": [core]}
-            runner._apply_frequency_plan(chip, active_cores)
-            chip.power.set_cores_active(active_cores, True)
-            self.num_pipelines = 1
-            self._samples_for("single-core")
-            single = _SingleCoreActor(
-                self, core,
-                self._udp_prog(downlink_res, DOWNLINK_CONFIG, frame_bytes))
-            self.actors = [single]
-            self.trigger = single
-        else:
-            n = placement.num_pipelines
-            self.num_pipelines = n
-            active_cores = placement.all_cores()
-            first_filters = [chain[0] for chain in placement.filter_cores]
-            last_filters = [chain[-1] for chain in placement.filter_cores]
-            strip_nbytes = [wl.strip_bytes(p, n) for p in range(n)]
-            tcore = placement.transfer_core
-
-            # Stage-key -> cores map in the runner's stage order, then
-            # the frequency plan, *then* the compute services below —
-            # chip.compute_time must see the planned clocks.
-            actors: List[_Actor] = []
-            stage_cores: Dict[str, List[int]] = {}
-
-            def _note(key: str, core_id: int) -> None:
-                stage_cores.setdefault(key, []).append(core_id)
-
-            from ..pipeline.runner import FILTER_KEYS
-
-            if runner.config == "one_renderer":
-                _note("render", placement.input_cores[0])
-                prev_of_first = [placement.input_cores[0]] * n
-            elif runner.config == "n_renderers":
-                for p in range(n):
-                    _note("render", placement.input_cores[p])
-                prev_of_first = list(placement.input_cores)
-            else:  # mcpc_renderer
-                _note("connect", placement.input_cores[0])
-                prev_of_first = [placement.input_cores[0]] * n
-            for chain in placement.filter_cores:
-                for j, key in enumerate(FILTER_KEYS):
-                    _note(key, chain[j])
-            _note("transfer", tcore)
-            runner._stage_cores = stage_cores
-            runner._apply_frequency_plan(chip, active_cores)
-            chip.power.set_cores_active(active_cores, True)
-
-            if runner.config == "one_renderer":
-                rcore = placement.input_cores[0]
-                self._samples_for("render")
-                actors.append(_SingleRendererActor(
-                    self, rcore, "render",
-                    [self._chan(rcore, dst) for dst in first_filters],
-                    [self._write_to_prog(rcore, dst, strip_nbytes[p])
-                     for p, dst in enumerate(first_filters)],
-                    strip_nbytes))
-            elif runner.config == "n_renderers":
-                self._samples_for("render")
-                for p in range(n):
-                    rcore = placement.input_cores[p]
-                    actors.append(_StripRendererActor(
-                        self, rcore, p,
-                        self._chan(rcore, first_filters[p]),
-                        self._write_to_prog(rcore, first_filters[p],
-                                            strip_nbytes[p]),
-                        strip_nbytes[p]))
-            else:  # mcpc_renderer
-                ccore = placement.input_cores[0]
-                queue = _Store(capacity=2,
-                               shift=lambda item, j: (item[0] + j, item[1]))
-                self.stores.append(queue)
-                uplink_cfg = self.mcpc_config.udp
-                uplink_res = self._new_res()
-                datagrams = (0 if frame_bytes == 0 else
-                             math.ceil(frame_bytes / uplink_cfg.mtu_payload))
-                self._samples_for("connect")
-                actors.append(_ConnectActor(
-                    self, ccore, queue,
-                    self._mesh_prog(SIF_LOCATION, self._coord(ccore),
-                                    frame_bytes, core=ccore),
-                    chip.compute_time(ccore,
-                                      cost.connect_seconds(datagrams, n)),
-                    self._write_own_prog(ccore, frame_bytes),
-                    [self._chan(ccore, dst) for dst in first_filters],
-                    [self._write_to_prog(ccore, dst, strip_nbytes[p])
-                     for p, dst in enumerate(first_filters)],
-                    strip_nbytes))
-                uplink_hold = (frame_bytes / uplink_cfg.bandwidth
-                               + datagrams * uplink_cfg.per_datagram_overhead)
-                self._mcpc = _MCPCActor(
-                    self, queue,
-                    self._udp_prog(uplink_res, uplink_cfg, frame_bytes),
-                    uplink_hold + uplink_cfg.latency_s)
-
-            for p, chain in enumerate(placement.filter_cores):
-                pixels = wl.viewport(p, n).pixels
-                for j, key in enumerate(FILTER_KEYS):
-                    core_id = chain[j]
-                    prev_core = prev_of_first[p] if j == 0 else chain[j - 1]
-                    next_core = (tcore if j == len(FILTER_KEYS) - 1
-                                 else chain[j + 1])
-                    self._samples_for(key)
-                    actors.append(_FilterActor(
-                        self, key, f"{key}[{p}]", core_id,
-                        self._chan(prev_core, core_id),
-                        self._chan(core_id, next_core),
-                        self._read_own_prog(core_id, strip_nbytes[p]),
-                        chip.compute_time(core_id,
-                                          cost.filter_seconds(key, pixels)),
-                        self._write_to_prog(core_id, next_core,
-                                            strip_nbytes[p]),
-                        strip_nbytes[p]))
-
-            self._samples_for("transfer")
-            transfer = _TransferActor(
-                self, tcore,
-                [self._chan(src, tcore) for src in last_filters],
-                [self._read_own_prog(tcore, strip_nbytes[p])
-                 for p in range(n)],
-                chip.compute_time(tcore,
-                                  cost.assemble_seconds(wl.image_side ** 2)),
-                self._udp_prog(downlink_res, DOWNLINK_CONFIG, frame_bytes))
-            actors.append(transfer)
-            if runner.config == "mcpc_renderer":
-                actors.append(self._mcpc)
-            self.actors = actors
-            self.trigger = transfer
-
-        self._active_cores = active_cores
+        graph = runner.build_graph(placement, self.mcpc_config)
+        self._downlink_res = self._new_res()
+        self._uplink_res: Optional[_Res] = None
+        self._queues: Dict[str, _Store] = {}
+        # The frequency plan first: chip.compute_time must see the
+        # planned clocks when the programs are compiled below.
+        self._active_cores = graph.cores()
+        runner._apply_frequency_plan(self.chip, graph)
+        self.chip.power.set_cores_active(self._active_cores, True)
+        for stage in graph.stages:
+            if stage.core is not None:
+                self.idle_samples.setdefault(stage.key, [])
+                self.busy_samples.setdefault(stage.key, [])
+            self.actors.append(self._compile(stage))
         synth = self.synth
         if synth is not None:
             # Track -> core bindings in the runner's stage-start order
@@ -1051,6 +654,87 @@ class BatchedEngine:
             for actor in self.actors:
                 if actor.core_id >= 0:
                     synth.bind(actor.span_key, actor.core_id, self.sim.now)
+
+    def _compile(self, stage: Stage) -> _Actor:
+        """Compile each op of ``stage`` once into scheduler steps.
+
+        A step is ``(code, a, b, c, d)``: ``_SEND`` (channel, write
+        program, bytes, first output after a per-frame compute),
+        ``_RECV`` (channel, read program, first input, last input),
+        ``_GET`` (store, -, first input, last input), ``_PUT`` (store,
+        -, -, first output after a per-frame compute), ``_COMPUTE``
+        (seconds, or None and the per-frame seconds function) and
+        ``_PROG`` / ``_DOWNLINK`` (program).
+        """
+        core = -1 if stage.core is None else stage.core
+        frame_bytes = self.workload.frame_bytes()
+        inputs = stage.inputs
+        steps: List[Step] = []
+        taken = 0
+        frame_compute: Optional[Callable[[int], float]] = None
+        post_compute = 0.0
+        # between a per-frame compute and the first output after it
+        watching = False
+        for op in stage.program:
+            kind = op.kind
+            if kind == "send":
+                steps.append((_SEND, self._chan(core, op.peer),
+                              self._write_to_prog(core, op.peer, op.nbytes),
+                              op.nbytes, watching))
+                watching = False
+            elif kind == "recv":
+                taken += 1
+                steps.append((_RECV, self._chan(op.peer, core),
+                              self._own_prog(core, op.nbytes, True),
+                              taken == 1, taken == inputs))
+            elif kind == "get":
+                taken += 1
+                steps.append((_GET, self._queue(op.queue), None,
+                              taken == 1, taken == inputs))
+            elif kind == "put":
+                steps.append((_PUT, self._queue(op.queue), None, None,
+                              watching))
+                watching = False
+            elif kind == "compute":
+                if op.per_frame is None:
+                    steps.append((_COMPUTE, self._where(core, op.work)(0),
+                                  None, None, None))
+                else:
+                    assert frame_compute is None, "one per-frame compute"
+                    frame_compute = self._where(core, op.per_frame)
+                    watching = True
+                    steps.append((_COMPUTE, None, frame_compute, None, None))
+            else:
+                if kind == "mesh_in":
+                    prog = self._mesh_prog(SIF_LOCATION, self._coord(core),
+                                           frame_bytes, core=core)
+                elif kind == "write_own":
+                    prog = self._own_prog(core, frame_bytes, False)
+                elif kind == "uplink":
+                    if self._uplink_res is None:
+                        self._uplink_res = self._new_res()
+                    prog = self._udp_prog(self._uplink_res,
+                                          self.mcpc_config.udp, frame_bytes)
+                elif kind == "downlink":
+                    prog = self._udp_prog(self._downlink_res,
+                                          DOWNLINK_CONFIG, frame_bytes)
+                else:  # pragma: no cover - the op vocabulary is closed
+                    raise AssertionError(f"unknown op {kind!r}")
+                if watching:
+                    post_compute += sum(hold for _, hold, _ in prog)
+                steps.append((_DOWNLINK if kind == "downlink" else _PROG,
+                              prog, None, None, None))
+        return _Actor(self, stage, steps, frame_compute, post_compute)
+
+    def _where(self, core: int, work: Callable[[int], float]
+               ) -> Callable[[int], float]:
+        """Per-frame seconds of SCC-core ``work`` where the stage runs
+        (``core`` -1 is the MCPC host)."""
+        if core < 0:
+            speedup = self.mcpc_config.speedup_vs_scc_core
+            return lambda frame: work(frame) / speedup
+        compute_time = self.chip.compute_time
+        return lambda frame: compute_time(core, work(frame))
 
     # -- scheduler ---------------------------------------------------------
     def _push(self, t: float, actor: _Actor) -> None:
@@ -1442,25 +1126,5 @@ class BatchedEngine:
                              else None)
         runner.last_telemetry = runner.telemetry or Telemetry(enabled=False)
 
-        chip = self.chip
-        placement = self.placement
-        busy_means = {key: acc.mean for key, acc in metrics.busy.items()}
-        return RunResult(
-            config=runner.config,
-            arrangement=placement.arrangement,
-            pipelines=(placement.num_pipelines
-                       if runner.config != "single_core" else 0),
-            frames=self.frames,
-            walkthrough_seconds=end,
-            cores_used=(1 if runner.config == "single_core"
-                        else placement.cores_used),
-            scc_energy_j=chip.power.energy(0.0, end),
-            scc_avg_power_w=chip.power.average_power(0.0, end),
-            mcpc_energy_above_idle_j=mcpc_energy,
-            idle_quartiles=metrics.idle_quartiles(),
-            busy_means=busy_means,
-            mc_utilizations=mc_utils,
-            power_trace=[],
-            latency_quartiles=(metrics.latency.quartiles()
-                               if len(metrics.latency) else None),
-        )
+        return runner._result(self.placement, end, metrics, self.chip,
+                              mcpc_energy, mc_utils, [])

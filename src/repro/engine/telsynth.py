@@ -40,8 +40,9 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional, Tuple
 
+from ..pipeline.stages import StageTelemetry
 from ..sim.trace import TraceRecorder
-from ..telemetry import Telemetry
+from ..telemetry import Telemetry, TraceSink
 
 __all__ = ["TelemetrySynth", "make_synth", "PhaseSig", "StepMeta"]
 
@@ -61,49 +62,16 @@ _RTOL = 1e-9
 _ATOL = 1e-12
 
 
-class TelemetrySynth:
-    """Hub-gated emission helper owned by one :class:`BatchedEngine`."""
+class TelemetrySynth(StageTelemetry):
+    """Hub-gated emission helper owned by one :class:`BatchedEngine`.
 
-    __slots__ = ("hub", "detail", "counters")
+    ``detail`` True reproduces everything the event engine emits under
+    ``telemetry.enabled``; False reproduces the sink-only stream (stage
+    busy/idle spans and wave markers, nothing else).  The stage-level
+    helpers are the event runner's own (:class:`StageTelemetry`).
+    """
 
-    def __init__(self, hub: Telemetry, detail: bool) -> None:
-        self.hub = hub
-        #: True reproduces everything the event engine emits under
-        #: ``telemetry.enabled``; False reproduces the sink-only stream
-        #: (stage busy/idle spans and wave markers, nothing else).
-        self.detail = detail
-        self.counters = hub.counters
-
-    # -- stage-level emission ---------------------------------------------
-    def bind(self, track: str, core: int, t: float) -> None:
-        if self.detail:
-            self.hub.emit("stage", "bind", t, track=track, core=core)
-
-    def stage_busy(self, track: str, t0: float, t1: float,
-                   frame: int) -> None:
-        self.hub.span("stage", track, "busy", t0, t1, frame=frame)
-        if self.detail:
-            self.counters.inc(f"stage.{track}.frames")
-            self.counters.inc(f"stage.{track}.busy_s", t1 - t0)
-
-    def stage_idle(self, track: str, t: float, wait_start: float) -> None:
-        seconds = t - wait_start
-        self.hub.span("stage", track, "idle", t - seconds, t)
-        if self.detail:
-            self.counters.inc(f"stage.{track}.idle_s", seconds)
-
-    def transfer_wait(self, track: str, t: float, wait_start: float,
-                      src_core: int) -> None:
-        if self.detail:
-            seconds = t - wait_start
-            if seconds > 0:
-                self.hub.span("stage", track, "wait", t - seconds, t,
-                              src_core=src_core)
-
-    def host_busy(self, t0: float, t1: float, frame: int) -> None:
-        if self.detail:
-            self.hub.span("host", "mcpc-render", "busy", t0, t1,
-                          frame=frame)
+    __slots__ = ()
 
     # -- RCCE-level emission ----------------------------------------------
     def rendezvous(self, src: int, dst: int, t0: float, t1: float,
@@ -215,11 +183,9 @@ class TelemetrySynth:
         """Gantt trace from the synthesized stage busy spans (what the
         event engine's TraceSink would have recorded)."""
         recorder = TraceRecorder()
+        sink = TraceSink(recorder)
         for event in self.hub.events:
-            if (event.kind == "span" and event.category == "stage"
-                    and event.name == "busy"):
-                assert event.track is not None
-                recorder.add(event.track, "busy", event.t, event.end)
+            sink(event)
         return recorder
 
 

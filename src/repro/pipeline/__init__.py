@@ -19,16 +19,14 @@ from .macro import MacroPipeline, MacroRunResult, MacroStageSpec, WorkItem
 from .metrics import RunMetrics, RunResult
 from .runner import CONFIGURATIONS, ENGINES, FILTER_KEYS, PipelineRunner
 from .sweep import series, sweep_arrangements, sweep_image_sizes, sweep_pipelines
-from .stage import (
-    ConnectStage,
-    FilterStage,
-    MCPCRenderProcess,
-    SingleCoreProcess,
-    SingleRendererStage,
+from .stages import (
+    Op,
     Stage,
     StageContext,
-    StripRendererStage,
-    TransferStage,
+    StageGraph,
+    placement_for,
+    stage_graph,
+    start_stage,
 )
 from .workload import DEFAULT_IMAGE_SIDE, WalkthroughWorkload, default_workload
 
@@ -60,13 +58,11 @@ __all__ = [
     "WalkthroughWorkload",
     "default_workload",
     "DEFAULT_IMAGE_SIDE",
+    "Op",
     "Stage",
     "StageContext",
-    "SingleRendererStage",
-    "StripRendererStage",
-    "FilterStage",
-    "TransferStage",
-    "ConnectStage",
-    "MCPCRenderProcess",
-    "SingleCoreProcess",
+    "StageGraph",
+    "placement_for",
+    "stage_graph",
+    "start_stage",
 ]

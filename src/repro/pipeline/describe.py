@@ -1,9 +1,10 @@
 """Structured descriptions of the paper's configurations.
 
-``describe(config, pipelines, arrangement)`` returns the stage graph a
-run would build — which stage kinds exist, on which cores, who feeds
-whom — without running anything.  The CLI's ``describe`` subcommand and
-the docs use it; tests cross-check it against the real runner's wiring.
+``describe(config, pipelines, arrangement)`` projects the stage graph a
+run builds (:func:`repro.pipeline.stages.stage_graph`) onto its nodes
+and feeds — which stages exist, on which cores, who feeds whom — without
+running anything.  The CLI's ``describe`` subcommand and the docs use
+it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .arrangements import Placement, make_placement
-from .runner import CONFIGURATIONS, FILTER_KEYS
+from .stages import placement_for, stage_graph
 
 __all__ = ["StageNode", "ConfigDescription", "describe"]
 
@@ -49,7 +49,6 @@ class ConfigDescription:
     pipelines: int
     summary: str
     stages: List[StageNode] = field(default_factory=list)
-    placement: Optional[Placement] = None
 
     @property
     def scc_cores_used(self) -> int:
@@ -74,42 +73,11 @@ class ConfigDescription:
 
 def describe(config: str, pipelines: int = 1,
              arrangement: str = "ordered") -> ConfigDescription:
-    """Build the stage graph for a configuration without simulating."""
-    if config not in CONFIGURATIONS:
-        raise ValueError(f"unknown config {config!r}")
-    if config == "single_core":
-        desc = ConfigDescription(config, arrangement, 0,
-                                 _SUMMARIES[config])
-        desc.stages.append(StageNode("single-core", 0, ("viewer",)))
-        return desc
-
-    placement = make_placement(arrangement, pipelines,
-                               per_pipeline_input=(config == "n_renderers"))
-    desc = ConfigDescription(config, arrangement, pipelines,
-                             _SUMMARIES[config], placement=placement)
-
-    first = [chain[0] for chain in placement.filter_cores]
-    if config == "one_renderer":
-        desc.stages.append(StageNode(
-            "render", placement.input_cores[0],
-            tuple(f"sepia[{p}]" for p in range(pipelines))))
-    elif config == "mcpc_renderer":
-        desc.stages.append(StageNode("mcpc-render", None, ("connect",)))
-        desc.stages.append(StageNode(
-            "connect", placement.input_cores[0],
-            tuple(f"sepia[{p}]" for p in range(pipelines))))
-    else:
-        for p in range(pipelines):
-            desc.stages.append(StageNode(
-                f"render[{p}]", placement.input_cores[p],
-                (f"sepia[{p}]",)))
-
-    for p, chain in enumerate(placement.filter_cores):
-        for j, key in enumerate(FILTER_KEYS):
-            feeds = (f"{FILTER_KEYS[j + 1]}[{p}]"
-                     if j + 1 < len(FILTER_KEYS) else "transfer")
-            desc.stages.append(StageNode(f"{key}[{p}]", chain[j], (feeds,)))
-
-    desc.stages.append(StageNode("transfer", placement.transfer_core,
-                                 ("viewer",)))
+    """The stage graph of a configuration, without simulating."""
+    graph = stage_graph(config, placement_for(config, pipelines, arrangement))
+    single = config == "single_core"
+    desc = ConfigDescription(config, arrangement, 0 if single else pipelines,
+                             _SUMMARIES[config])
+    desc.stages.extend(StageNode(s.track, s.core, graph.feeds(s))
+                       for s in graph.stages)
     return desc

@@ -1,33 +1,25 @@
-"""Extract the channel protocol of a pipeline arrangement — statically.
+"""The channel protocol of a pipeline arrangement, statically.
 
 This is the pipeline-side hook for the static deadlock checker
-(:mod:`repro.analysis.concurrency.protocol`): it mirrors the wiring
-``PipelineRunner._build_parallel`` performs — which stage sends to
-which core, in what per-frame order — without building a simulator,
-chip model or workload.  The result is a :class:`ProtocolModel` whose
-abstract execution is exact for rendezvous semantics, so
-``repro lint`` can prove the paper's three arrangements deadlock-free
-on every run, and ``repro analyze --concurrency`` can render the
-channel wait-for graph for the exact configuration being analysed.
-
-Keep this in lockstep with ``_build_parallel`` and the stage loops in
-:mod:`repro.pipeline.stage`; ``tests/analysis/test_protocol_deadlock.py``
-cross-checks the wiring against a real placement.
+(:mod:`repro.analysis.concurrency.protocol`): a projection of the stage
+graph (:mod:`repro.pipeline.stages`) onto its blocking operations — which
+stage sends to which core, in what per-frame order — without building a
+simulator, chip model or workload.  The result is a
+:class:`ProtocolModel` whose abstract execution is exact for rendezvous
+semantics, so ``repro lint`` can prove the paper's three arrangements
+deadlock-free on every run, and ``repro analyze --concurrency`` can
+render the channel wait-for graph for the exact configuration analysed.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.concurrency.protocol import Op, Process, ProtocolModel
-from .arrangements import Placement, make_placement
-from .runner import CONFIGURATIONS, FILTER_KEYS
+from .arrangements import Placement
+from .stages import QUEUE_CAPACITY, Stage, placement_for, stage_graph
 
 __all__ = ["extract_protocol", "channel_edges"]
-
-#: the MCPC host->connect SIF socket queue (capacity mirrors runner.py)
-_SIF_QUEUE = "sif-socket"
-_SIF_CAPACITY = 2
 
 
 def extract_protocol(config: str, pipelines: int,
@@ -40,68 +32,30 @@ def extract_protocol(config: str, pipelines: int,
     unbuffered, so any wiring deadlock manifests within the first
     couple of frames — 2 is enough, and keeps ``repro lint`` fast.
     """
-    if config not in CONFIGURATIONS:
-        raise ValueError(f"unknown config {config!r}; "
-                         f"choose from {CONFIGURATIONS}")
-    name = f"{config}/{arrangement} x{pipelines}"
-    if config == "single_core":
-        # One process, no channels: trivially deadlock-free.
-        return ProtocolModel(name=name, processes=(
-            Process(name="single", ops=(), iterations=frames),))
-
     if placement is None:
-        placement = make_placement(arrangement, pipelines,
-                                   per_pipeline_input=(
-                                       config == "n_renderers"))
-    n = placement.num_pipelines
-    first = [chain[0] for chain in placement.filter_cores]
-    last = [chain[-1] for chain in placement.filter_cores]
-    processes: List[Process] = []
-    queues = {}
+        placement = placement_for(config, pipelines, arrangement)
+    graph = stage_graph(config, placement)
+    processes = tuple(Process(name=stage.track, ops=_blocking_ops(stage),
+                              iterations=frames)
+                      for stage in graph.stages)
+    queues = {op.queue: QUEUE_CAPACITY[op.queue]
+              for proc in processes for op in proc.ops if op.queue}
+    return ProtocolModel(name=f"{config}/{arrangement} x{pipelines}",
+                         processes=processes, queues=queues)
 
-    if config == "one_renderer":
-        core = placement.input_cores[0]
-        processes.append(Process(
-            name="render", iterations=frames,
-            ops=tuple(Op("send", src=core, dst=first[p])
-                      for p in range(n))))
-        prev_of_first = [core] * n
-    elif config == "n_renderers":
-        for p in range(n):
-            processes.append(Process(
-                name=f"render[{p}]", iterations=frames,
-                ops=(Op("send", src=placement.input_cores[p],
-                        dst=first[p]),)))
-        prev_of_first = list(placement.input_cores)
-    else:  # mcpc_renderer
-        queues[_SIF_QUEUE] = _SIF_CAPACITY
-        processes.append(Process(
-            name="host", iterations=frames,
-            ops=(Op("put", queue=_SIF_QUEUE),)))
-        core = placement.input_cores[0]
-        processes.append(Process(
-            name="connect", iterations=frames,
-            ops=(Op("get", queue=_SIF_QUEUE),)
-            + tuple(Op("send", src=core, dst=first[p])
-                    for p in range(n))))
-        prev_of_first = [core] * n
 
-    for p, chain in enumerate(placement.filter_cores):
-        for j, key in enumerate(FILTER_KEYS):
-            prev_core = prev_of_first[p] if j == 0 else chain[j - 1]
-            next_core = (placement.transfer_core
-                         if j == len(FILTER_KEYS) - 1 else chain[j + 1])
-            processes.append(Process(
-                name=f"filter[{p}].{key}", iterations=frames,
-                ops=(Op("recv", src=prev_core, dst=chain[j]),
-                     Op("send", src=chain[j], dst=next_core))))
-
-    processes.append(Process(
-        name="transfer", iterations=frames,
-        ops=tuple(Op("recv", src=last[p], dst=placement.transfer_core)
-                  for p in range(n))))
-    return ProtocolModel(name=name, processes=tuple(processes),
-                         queues=queues)
+def _blocking_ops(stage: Stage) -> Tuple[Op, ...]:
+    """The stage's program as send/recv/put/get IR ops."""
+    core = -1 if stage.core is None else stage.core
+    ops: List[Op] = []
+    for op in stage.program:
+        if op.kind == "send":
+            ops.append(Op("send", src=core, dst=op.peer))
+        elif op.kind == "recv":
+            ops.append(Op("recv", src=op.peer, dst=core))
+        elif op.kind in ("put", "get"):
+            ops.append(Op(op.kind, queue=op.queue))
+    return tuple(ops)
 
 
 def channel_edges(model: ProtocolModel) -> List[Tuple[str, str, str]]:
@@ -110,28 +64,14 @@ def channel_edges(model: ProtocolModel) -> List[Tuple[str, str, str]]:
     The wait-for summary ``repro analyze --concurrency`` renders: every
     rendezvous channel as a sender->receiver edge, plus queue edges.
     """
-    senders = {}
-    receivers = {}
+    chans: Dict[Tuple[int, int], List[str]] = {}
+    queues: Dict[str, List[str]] = {}
     for proc in model.processes:
         for op in proc.ops:
-            if op.kind == "send":
-                senders.setdefault(op.channel, proc.name)
-            elif op.kind == "recv":
-                receivers.setdefault(op.channel, proc.name)
-    edges: List[Tuple[str, str, str]] = []
-    for channel in sorted(set(senders) | set(receivers)):
-        label = f"{channel[0]}->{channel[1]}"
-        edges.append((senders.get(channel, "?"),
-                      receivers.get(channel, "?"), label))
-    putters = {}
-    getters = {}
-    for proc in model.processes:
-        for op in proc.ops:
-            if op.kind == "put":
-                putters.setdefault(op.queue, proc.name)
-            elif op.kind == "get":
-                getters.setdefault(op.queue, proc.name)
-    for queue in sorted(set(putters) | set(getters)):
-        edges.append((putters.get(queue, "?"), getters.get(queue, "?"),
-                      f"queue:{queue}"))
-    return edges
+            ends = (queues.setdefault(op.queue, ["?", "?"]) if op.queue
+                    else chans.setdefault(op.channel, ["?", "?"]))
+            side = 0 if op.kind in ("send", "put") else 1
+            if ends[side] == "?":
+                ends[side] = proc.name
+    return ([(s, r, f"{c[0]}->{c[1]}") for c, (s, r) in sorted(chans.items())]
+            + [(p, g, f"queue:{q}") for q, (p, g) in sorted(queues.items())])

@@ -18,50 +18,37 @@ Configurations (paper §V):
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 import numpy as np
 
-from ..host import MCPC, MCPCConfig, UDPChannel, UDPConfig, VisualizationClient
+from ..host import MCPC, MCPCConfig, UDPChannel, VisualizationClient
 from ..obsv.eventlog import EVENT_LOG
 from ..rcce import RCCEComm
 from ..scc import SCCChip, SCCConfig
-from ..sim import Simulator, Store
+from ..sim import Simulator
 from ..sim.trace import TraceRecorder
 from ..telemetry import Telemetry
-from .arrangements import Placement, make_placement
+from .arrangements import Placement
 from .costmodel import CostModel
 from .metrics import RunMetrics, RunResult
-from .stage import (
-    ConnectStage,
-    FilterStage,
-    MCPCRenderProcess,
-    SingleCoreProcess,
-    SingleRendererStage,
-    StripRendererStage,
-    Stage,
+from .stages import (
+    CONFIGURATIONS,
+    DOWNLINK_CONFIG,
+    FILTER_KEYS,
     StageContext,
-    TransferStage,
+    StageGraph,
+    placement_for,
+    stage_graph,
+    start_stage,
 )
 from .workload import WalkthroughWorkload, default_workload
 
 __all__ = ["CONFIGURATIONS", "ENGINES", "PipelineRunner", "FILTER_KEYS",
            "DOWNLINK_CONFIG"]
 
-CONFIGURATIONS = ("single_core", "one_renderer", "n_renderers",
-                  "mcpc_renderer")
-
 #: available execution engines (see ``repro.engine`` for "batched")
 ENGINES = ("event", "batched")
-
-#: pipeline stage order within a pipeline
-FILTER_KEYS = ("sepia", "blur", "scratch", "flicker", "swap")
-
-#: SCC → MCPC viewer link: PCIe DMA reads are fast, so the transfer
-#: stage's UDP send of a full frame costs ~20 ms (part of the 25 ms
-#: transfer-stage budget of Fig. 8).
-DOWNLINK_CONFIG = UDPConfig(mtu_payload=1472, bandwidth=40e6,
-                            per_datagram_overhead=10e-6, latency_s=100e-6)
 
 
 class PipelineRunner:
@@ -180,8 +167,6 @@ class PipelineRunner:
         #: steady-state frame-wave engine in :mod:`repro.engine`, which
         #: falls back to the event kernel whenever it declines the run)
         self.engine = engine
-        #: filled during the build: stage key -> [core ids]
-        self._stage_cores: dict = {}
 
     def spec(self):
         """This run as a :class:`repro.exec.RunSpec` (its cache identity).
@@ -236,26 +221,31 @@ class PipelineRunner:
                 raise ValueError("n_renderers needs one input core per "
                                  "pipeline in the placement")
             return self.placement_override
-        if self.config == "single_core":
-            return Placement(self.arrangement, input_cores=[0],
-                             filter_cores=[], transfer_core=1)
-        per_pipeline_input = self.config == "n_renderers"
-        return make_placement(self.arrangement, self.pipelines,
-                              per_pipeline_input)
+        return placement_for(self.config, self.pipelines, self.arrangement)
+
+    def _log_start(self, obs: Any) -> None:
+        obs.info("run.start", config=self.config, pipelines=self.pipelines,
+                 frames=self.frames, arrangement=self.arrangement)
+
+    def build_graph(self, placement: Placement,
+                    mcpc_config: MCPCConfig) -> StageGraph:
+        """This run's stage graph on ``placement``."""
+        return stage_graph(self.config, placement, self.workload, self.cost,
+                           mcpc_config.udp)
 
     def run(self) -> RunResult:
         """Simulate the walkthrough and return the metrics."""
+        obs = None
+        if EVENT_LOG.enabled:
+            obs = EVENT_LOG.bind(digest=self._log_digest())
         if self.engine == "batched":
             # Imported lazily: repro.engine depends on this module.
             from ..engine import try_batched_run
 
             result = try_batched_run(self)
             if result is not None:
-                if EVENT_LOG.enabled:
-                    obs = EVENT_LOG.bind(digest=self._log_digest())
-                    obs.info("run.start", config=self.config,
-                             pipelines=self.pipelines, frames=self.frames,
-                             arrangement=self.arrangement)
+                if obs is not None:
+                    self._log_start(obs)
                     obs.info("run.finish",
                              walkthrough_s=result.walkthrough_seconds,
                              sim_events=0)
@@ -264,12 +254,8 @@ class PipelineRunner:
             # BATCHED_DECLINE_REASONS; telemetry and tracing are
             # synthesized now) — the event engine is the one true result
         sim = Simulator()
-        obs = None
-        if EVENT_LOG.enabled:
-            obs = EVENT_LOG.bind(digest=self._log_digest())
-            obs.info("run.start", config=self.config,
-                     pipelines=self.pipelines, frames=self.frames,
-                     arrangement=self.arrangement)
+        if obs is not None:
+            self._log_start(obs)
             sim.obs_log = obs
         telemetry = self.telemetry or Telemetry(enabled=False)
         suite = self.sanitizers
@@ -286,14 +272,14 @@ class PipelineRunner:
         metrics = RunMetrics()
         placement = self._build_placement()
 
+        graph = self.build_graph(placement, mcpc.config)
         ctx = StageContext(
             chip=chip,
             comm=comm,
-            cost=self.cost,
             workload=self.workload,
             metrics=metrics,
             frames=self.frames,
-            num_pipelines=max(self.pipelines, 1),
+            num_pipelines=max(placement.num_pipelines, 1),
             payload_mode=self.payload_mode,
             viewer=viewer,
             downlink=downlink,
@@ -306,25 +292,10 @@ class PipelineRunner:
         )
 
         try:
-            stages: List[Stage] = []
-            if self.config == "single_core":
-                core = placement.input_cores[0]
-                stages.append(SingleCoreProcess(core, ctx))
-                active_cores = [core]
-                self._stage_cores = {"single-core": [core]}
-            else:
-                stages.extend(self._build_parallel(ctx, placement))
-                active_cores = placement.all_cores()
-                self._stage_cores = {}
-                for s in stages:
-                    self._stage_cores.setdefault(
-                        s.key.split("[")[0], []).append(s.core_id)
-
-            self._apply_frequency_plan(chip, active_cores)
+            active_cores = graph.cores()
+            self._apply_frequency_plan(chip, graph)
             chip.power.set_cores_active(active_cores, True)
-            processes = [s.start() for s in stages]
-            if self.config == "mcpc_renderer":
-                processes.append(self._host_process.start())
+            processes = [start_stage(s, ctx) for s in graph.stages]
 
             # The transfer stage (or the single core) finishes last.
             sim.run(until=sim.all_of(processes))
@@ -345,59 +316,26 @@ class PipelineRunner:
         self.last_viewer = ctx.viewer
         self.last_trace = ctx.trace
         self.last_telemetry = telemetry
-        result = self._summarize(ctx, placement, end)
+        trace = []
+        if self.power_trace_dt is not None:
+            trace = chip.power.sampled_trace(0.0, end, self.power_trace_dt)
+        result = self._result(placement, end, metrics, chip,
+                              mcpc.energy_above_idle(0.0, end),
+                              chip.memory.utilizations(), trace)
         if obs is not None:
             obs.info("run.finish", walkthrough_s=result.walkthrough_seconds,
                      sim_events=sim.event_count)
         return result
 
-    def _build_parallel(self, ctx: StageContext,
-                        placement: Placement) -> List[Stage]:
-        n = placement.num_pipelines
-        ctx.num_pipelines = n
-        stages: List[Stage] = []
-        first_filters = [chain[0] for chain in placement.filter_cores]
-        last_filters = [chain[-1] for chain in placement.filter_cores]
-
-        if self.config == "one_renderer":
-            stages.append(SingleRendererStage(placement.input_cores[0], ctx,
-                                              first_filters))
-            prev_of_first = [placement.input_cores[0]] * n
-        elif self.config == "n_renderers":
-            for p in range(n):
-                stages.append(StripRendererStage(
-                    placement.input_cores[p], ctx, p, first_filters[p]))
-            prev_of_first = list(placement.input_cores)
-        elif self.config == "mcpc_renderer":
-            queue = Store(ctx.sim, capacity=2, name="sif-socket")
-            connect = ConnectStage(placement.input_cores[0], ctx,
-                                   first_filters, queue)
-            stages.append(connect)
-            self._host_process = MCPCRenderProcess(ctx, queue)
-            prev_of_first = [placement.input_cores[0]] * n
-        else:  # pragma: no cover - guarded in __init__
-            raise AssertionError(self.config)
-
-        for p, chain in enumerate(placement.filter_cores):
-            for j, key in enumerate(FILTER_KEYS):
-                prev_core = prev_of_first[p] if j == 0 else chain[j - 1]
-                next_core = (placement.transfer_core
-                             if j == len(FILTER_KEYS) - 1 else chain[j + 1])
-                stages.append(FilterStage(key, chain[j], ctx, p,
-                                          prev_core, next_core))
-
-        stages.append(TransferStage(placement.transfer_core, ctx,
-                                    last_filters))
-        return stages
-
     def _apply_frequency_plan(self, chip: SCCChip,
-                              active_cores: List[int]) -> None:
+                              graph: StageGraph) -> None:
         """Set per-tile frequencies for the §VI-D DVFS experiments."""
         if not self.frequency_plan:
             return
+        stage_cores = graph.stage_cores()
         planned_tiles: dict = {}
         for key, mhz in self.frequency_plan.items():
-            cores = self._stage_cores.get(key)
+            cores = stage_cores.get(key)
             if not cores:
                 raise ValueError(f"frequency plan names unknown stage {key!r}")
             for core in cores:
@@ -407,7 +345,7 @@ class PipelineRunner:
         # Let unused tiles of an affected island follow the island's
         # minimum planned frequency so the island voltage can drop.
         used_tiles = {chip.topology.core(c).tile.tile_id
-                      for c in active_cores}
+                      for c in graph.cores()}
         islands = {chip.topology.tiles[t].voltage_domain: []
                    for t in planned_tiles}
         for tile, mhz in planned_tiles.items():
@@ -419,33 +357,25 @@ class PipelineRunner:
                     chip.dvfs.set_tile_frequency(tile.tile_id, floor)
 
     # -- report ------------------------------------------------------------
-    def _summarize(self, ctx: StageContext, placement: Placement,
-                   end_time: float) -> RunResult:
-        chip = ctx.chip
-        assert ctx.mcpc is not None
-        busy_means = {}
-        for key, acc in ctx.metrics.busy.items():
-            busy_means[key] = acc.mean
-        trace = []
-        if self.power_trace_dt is not None:
-            trace = chip.power.sampled_trace(0.0, end_time,
-                                             self.power_trace_dt)
+    def _result(self, placement: Placement, end: float, metrics: RunMetrics,
+                chip: SCCChip, mcpc_energy: float, mc_utilizations: list,
+                power_trace: list) -> RunResult:
+        """The run's :class:`RunResult`, from either engine's products."""
+        single = self.config == "single_core"
         return RunResult(
             config=self.config,
             arrangement=placement.arrangement,
-            pipelines=placement.num_pipelines if self.config != "single_core"
-            else 0,
+            pipelines=0 if single else placement.num_pipelines,
             frames=self.frames,
-            walkthrough_seconds=end_time,
-            cores_used=(1 if self.config == "single_core"
-                        else placement.cores_used),
-            scc_energy_j=chip.power.energy(0.0, end_time),
-            scc_avg_power_w=chip.power.average_power(0.0, end_time),
-            mcpc_energy_above_idle_j=ctx.mcpc.energy_above_idle(0.0, end_time),
-            idle_quartiles=ctx.metrics.idle_quartiles(),
-            busy_means=busy_means,
-            mc_utilizations=chip.memory.utilizations(),
-            power_trace=trace,
-            latency_quartiles=(ctx.metrics.latency.quartiles()
-                               if len(ctx.metrics.latency) else None),
+            walkthrough_seconds=end,
+            cores_used=1 if single else placement.cores_used,
+            scc_energy_j=chip.power.energy(0.0, end),
+            scc_avg_power_w=chip.power.average_power(0.0, end),
+            mcpc_energy_above_idle_j=mcpc_energy,
+            idle_quartiles=metrics.idle_quartiles(),
+            busy_means={key: acc.mean for key, acc in metrics.busy.items()},
+            mc_utilizations=mc_utilizations,
+            power_trace=power_trace,
+            latency_quartiles=(metrics.latency.quartiles()
+                               if len(metrics.latency) else None),
         )

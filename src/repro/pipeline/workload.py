@@ -8,12 +8,14 @@ frame-to-frame load variation ("the complexity of the scene") real while
 the 400-frame sweeps run in seconds.
 
 Profiles are memoized per ``(frame, strip, num_strips)``; a process-wide
-default workload instance is shared by the benches so the geometry work
-is done once.
+default workload instance is shared by the benches (and by the service's
+executor threads, so the memo is locked) and the geometry work is done
+once per key.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from functools import lru_cache
 from typing import Optional
@@ -79,13 +81,18 @@ class WalkthroughWorkload:
         self.path = WalkthroughPath(frames=frames)
         #: (frame, strip, num_strips) -> RenderProfile, LRU-bounded
         self._profiles: "OrderedDict[tuple, RenderProfile]" = OrderedDict()
+        #: serializes the memo and the lazy scene build: threads sharing
+        #: a workload must not cull the same key (or build the city) twice
+        self._lock = threading.RLock()
 
     @property
     def renderer(self) -> Renderer:
         """The scene renderer (built lazily: geometry is only needed the
         first time a profile or a real image is requested)."""
         if self._renderer is None:
-            self._renderer = Renderer(build_city(self.city_config))
+            with self._lock:
+                if self._renderer is None:
+                    self._renderer = Renderer(build_city(self.city_config))
         return self._renderer
 
     # -- geometry -----------------------------------------------------------
@@ -123,19 +130,31 @@ class WalkthroughWorkload:
             raise ValueError(f"frame {frame} out of 0..{self.frames - 1}")
         key = (frame, strip_index, num_strips)
         cached = self._profiles.get(key)
-        if cached is not None:
+        if cached is None:
+            return self._cull(key)
+        try:
             self._profiles.move_to_end(key)
-            return cached
-        camera = self.path.camera_at(frame)
-        camera.aspect = 1.0
-        prof = self.renderer.profile(
-            camera, self.viewport(strip_index, num_strips),
-            strip_index=strip_index, num_strips=num_strips,
-        )
-        self._profiles[key] = prof
-        while len(self._profiles) > self.profile_cache_cap:
-            self._profiles.popitem(last=False)
-        return prof
+        except KeyError:  # evicted by another thread meanwhile
+            pass
+        return cached
+
+    def _cull(self, key: tuple) -> RenderProfile:
+        """Compute and memoize a missing profile, once per key."""
+        frame, strip_index, num_strips = key
+        with self._lock:
+            cached = self._profiles.get(key)
+            if cached is not None:
+                return cached
+            camera = self.path.camera_at(frame)
+            camera.aspect = 1.0
+            prof = self.renderer.profile(
+                camera, self.viewport(strip_index, num_strips),
+                strip_index=strip_index, num_strips=num_strips,
+            )
+            self._profiles[key] = prof
+            while len(self._profiles) > self.profile_cache_cap:
+                self._profiles.popitem(last=False)
+            return prof
 
     def mean_full_frame_profile(self) -> RenderProfile:
         """Average counters over the whole walkthrough, full frames

@@ -6,8 +6,8 @@ on the real chip and both are modeled:
 
 * ``via="mpb"`` — the RCCE default: the payload is pumped through the
   receiver's 8 KiB message-passing-buffer window in chunks, with
-  back-pressure when the window fills.  Sender and receiver proceed
-  chunk-by-chunk in lockstep (the L2 bypass / flag-polling protocol).
+  back-pressure when the window fills.  Sender and receiver take turns
+  chunk by chunk (the L2 bypass / flag-polling protocol).
 * ``via="dram"`` — bulk transfers of frame strips, as the paper
   describes: "the message actually has to travel first to the receiver
   processor's memory partition.  The data must then be retrieved from
@@ -172,7 +172,7 @@ class RCCEComm:
                   nbytes: int) -> Generator[Any, Any, None]:
         """Pump ``nbytes`` through the receiver's MPB window in chunks.
 
-        The receiver's drain is modeled inline (sender-paced lockstep):
+        The receiver's drain is modeled inline (sender-paced turns):
         per chunk, the sender writes over the mesh into the window and
         the receiver copies it out into L2 before the window is reused —
         the RCCE "pipelined" protocol collapses to this for synchronous

@@ -21,10 +21,12 @@ from repro.analysis.concurrency import (
     paper_protocol_issues,
     simulate,
 )
+from repro.analysis.concurrency import pipelines
 from repro.analysis.concurrency.pipelines import protocol_findings
 from repro.analysis.lints.engine import LintContext
 from repro.pipeline.arrangements import ARRANGEMENTS, make_placement
 from repro.pipeline.protocol import channel_edges, extract_protocol
+from repro.pipeline.stages import FILTER_KEYS
 
 CONFIGS = ("one_renderer", "n_renderers", "mcpc_renderer")
 
@@ -140,7 +142,7 @@ def _flip_one_send(model: ProtocolModel) -> ProtocolModel:
     flipped = False
     for proc in model.processes:
         ops = list(proc.ops)
-        if not flipped and proc.name.startswith("filter["):
+        if not flipped and proc.name.split("[")[0] in FILTER_KEYS:
             for i, op in enumerate(ops):
                 if op.kind == "send":
                     ops[i] = Op("recv", src=op.dst, dst=op.src)
@@ -157,7 +159,7 @@ def _skip_one_handshake(model: ProtocolModel) -> ProtocolModel:
     injected = False
     for proc in model.processes:
         ops = list(proc.ops)
-        if not injected and proc.name.startswith("filter["):
+        if not injected and proc.name.split("[")[0] in FILTER_KEYS:
             for i, op in enumerate(ops):
                 if op.kind == "send":
                     ops[i] = dataclasses.replace(op, via="mpb",
@@ -207,7 +209,12 @@ def _ctx(module: str) -> LintContext:
                        source_lines=source.splitlines())
 
 
-def test_protocol_findings_anchor_only_at_the_runner():
+def test_protocol_findings_anchor_only_at_the_runner(monkeypatch):
+    # the anchor is the stage-graph module, which owns the wiring
+    monkeypatch.setattr(pipelines, "paper_protocol_issues",
+                        lambda: (("CON004", "injected"),))
+    assert [m for _, m in protocol_findings(
+        _ctx("repro.pipeline.stages"), "CON004")] == ["injected"]
     assert list(protocol_findings(_ctx("repro.pipeline.runner"),
                                   "CON004")) == []
     assert list(protocol_findings(_ctx("repro.service.app"),

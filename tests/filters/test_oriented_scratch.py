@@ -88,7 +88,7 @@ def test_cost_descriptor_sparse():
 def test_usable_in_pipeline_payload_mode():
     """Swapping the oriented filter into the stage registry works."""
     from repro.pipeline import PipelineRunner, WalkthroughWorkload
-    from repro.pipeline.stage import FILTER_CLASSES
+    from repro.pipeline.stages import FILTER_CLASSES
 
     original = FILTER_CLASSES["scratch"]
     FILTER_CLASSES["scratch"] = OrientedScratchFilter

@@ -1,28 +1,58 @@
 """White-box tests of individual stage processes.
 
-These drive single stages with hand-built contexts and hand-fed
-messages, pinning down the per-stage protocol (recv → compute → send)
-independently of the full runner.
+These drive single stages of the stage graph with hand-built contexts
+and hand-fed messages, pinning down the per-stage protocol (recv →
+compute → send) independently of the full runner.
 """
 
 import numpy as np
 import pytest
 
 from repro.host import MCPC, UDPChannel, VisualizationClient
-from repro.pipeline import CostModel, RunMetrics, WalkthroughWorkload
+from repro.pipeline import (CostModel, Placement, RunMetrics,
+                            WalkthroughWorkload)
 from repro.pipeline.runner import DOWNLINK_CONFIG
-from repro.pipeline.stage import (
-    ConnectStage,
-    FilterStage,
-    MCPCRenderProcess,
+from repro.pipeline.stages import (
+    SIF_SOCKET,
     StageContext,
-    TransferStage,
+    stage_graph,
+    start_stage,
 )
 from repro.rcce import RCCEComm
 from repro.scc import SCCChip
-from repro.sim import Simulator, Store
+from repro.sim import Simulator
 
 FRAMES = 3
+COST = CostModel()
+
+
+def graph_stage(ctx, config, track, input_cores, filter_cores,
+                transfer_core=47):
+    """Stage ``track`` of ``config``'s graph on a hand-made placement."""
+    placement = Placement("ordered", input_cores=input_cores,
+                          filter_cores=filter_cores,
+                          transfer_core=transfer_core)
+    graph = stage_graph(config, placement, ctx.workload, COST)
+    return next(s for s in graph.stages if s.track == track)
+
+
+def filter_stage(ctx, key, core, prev_core, next_core):
+    """Filter ``key`` of pipeline 0 on ``core``, fed by ``prev_core``."""
+    j = ("sepia", "blur", "scratch", "flicker", "swap").index(key)
+    chain = [40, 41, 42, 43, 44]
+    chain[j] = core
+    inputs = [39]
+    if j == 0:
+        inputs = [prev_core]
+    else:
+        chain[j - 1] = prev_core
+    transfer = 45
+    if j == 4:
+        transfer = next_core
+    else:
+        chain[j + 1] = next_core
+    return graph_stage(ctx, "one_renderer", f"{key}[0]", inputs, [chain],
+                       transfer)
 
 
 @pytest.fixture()
@@ -33,7 +63,6 @@ def ctx():
     return StageContext(
         chip=chip,
         comm=RCCEComm(chip),
-        cost=CostModel(),
         workload=WalkthroughWorkload(frames=FRAMES, image_side=64),
         metrics=RunMetrics(),
         frames=FRAMES,
@@ -63,10 +92,10 @@ def drain(ctx, dst, src, collected, frames=FRAMES):
 
 
 def test_filter_stage_forwards_every_frame(ctx):
-    stage = FilterStage("blur", 4, ctx, pipeline=0, prev_core=2, next_core=6)
+    stage = filter_stage(ctx, "blur", 4, prev_core=2, next_core=6)
     out = []
     ctx.sim.process(feed(ctx, 2, 4)())
-    stage.start()
+    start_stage(stage, ctx)
     ctx.sim.process(drain(ctx, 6, 4, out)())
     ctx.sim.run()
     assert [m.tag for m in out] == [0, 1, 2]
@@ -75,14 +104,14 @@ def test_filter_stage_forwards_every_frame(ctx):
 
 
 def test_filter_stage_service_time_includes_compute(ctx):
-    stage = FilterStage("blur", 4, ctx, pipeline=0, prev_core=2, next_core=6)
+    stage = filter_stage(ctx, "blur", 4, prev_core=2, next_core=6)
     out = []
     ctx.sim.process(feed(ctx, 2, 4)())
-    stage.start()
+    start_stage(stage, ctx)
     ctx.sim.process(drain(ctx, 6, 4, out)())
     ctx.sim.run()
     pixels = 64 * 64
-    expected = ctx.cost.filter_seconds("blur", pixels)
+    expected = COST.filter_seconds("blur", pixels)
     assert ctx.metrics.busy["blur"].mean >= expected
 
 
@@ -94,14 +123,13 @@ def test_filter_stage_respects_dvfs(ctx):
         chip = SCCChip(sim)
         chip.dvfs.set_core_frequency(4, freq)
         local = StageContext(
-            chip=chip, comm=RCCEComm(chip), cost=ctx.cost,
+            chip=chip, comm=RCCEComm(chip),
             workload=ctx.workload, metrics=RunMetrics(), frames=FRAMES,
             num_pipelines=1)
-        stage = FilterStage("swap", 4, local, pipeline=0, prev_core=2,
-                            next_core=6)
+        stage = filter_stage(local, "swap", 4, prev_core=2, next_core=6)
         out = []
         sim.process(feed(local, 2, 4)())
-        stage.start()
+        start_stage(stage, local)
         sim.process(drain(local, 6, 4, out)())
         sim.run()
         times[freq] = local.metrics.busy["swap"].mean
@@ -111,10 +139,12 @@ def test_filter_stage_respects_dvfs(ctx):
 
 
 def test_transfer_stage_assembles_and_displays(ctx):
-    stage = TransferStage(10, ctx, last_filter_cores=[4, 6])
+    stage = graph_stage(ctx, "one_renderer", "transfer", [0],
+                        [[20, 21, 22, 23, 4], [30, 31, 32, 33, 6]],
+                        transfer_core=10)
     for src in (4, 6):
         ctx.sim.process(feed(ctx, src, 10)())
-    stage.start()
+    start_stage(stage, ctx)
     ctx.sim.run()
     assert ctx.viewer.frames_displayed == FRAMES
     assert [f for f, _ in ctx.metrics.frame_completions] == [0, 1, 2]
@@ -122,8 +152,9 @@ def test_transfer_stage_assembles_and_displays(ctx):
 
 
 def test_connect_stage_distributes_strips(ctx):
-    queue = Store(ctx.sim, capacity=2)
-    stage = ConnectStage(8, ctx, [2, 4], queue)
+    stage = graph_stage(ctx, "mcpc_renderer", "connect", [8],
+                        [[2, 20, 21, 22, 23], [4, 30, 31, 32, 33]])
+    queue = ctx.queue(SIF_SOCKET)
     out0, out1 = [], []
 
     def host_feed():
@@ -131,7 +162,7 @@ def test_connect_stage_distributes_strips(ctx):
             yield queue.put((frame, None))
 
     ctx.sim.process(host_feed())
-    stage.start()
+    start_stage(stage, ctx)
     ctx.sim.process(drain(ctx, 2, 8, out0)())
     ctx.sim.process(drain(ctx, 4, 8, out1)())
     ctx.sim.run()
@@ -143,8 +174,9 @@ def test_connect_stage_distributes_strips(ctx):
 
 
 def test_mcpc_render_process_pushes_frames(ctx):
-    queue = Store(ctx.sim, capacity=2)
-    proc = MCPCRenderProcess(ctx, queue)
+    stage = graph_stage(ctx, "mcpc_renderer", "mcpc-render", [8],
+                        [[2, 20, 21, 22, 23]])
+    queue = ctx.queue(SIF_SOCKET)
     got = []
 
     def consumer():
@@ -152,7 +184,7 @@ def test_mcpc_render_process_pushes_frames(ctx):
             frame, _ = yield queue.get()
             got.append(frame)
 
-    proc.start()
+    start_stage(stage, ctx)
     ctx.sim.process(consumer())
     ctx.sim.run()
     assert got == [0, 1, 2]
@@ -164,8 +196,10 @@ def test_mcpc_render_process_requires_host():
     sim = Simulator()
     chip = SCCChip(sim)
     bad_ctx = StageContext(
-        chip=chip, comm=RCCEComm(chip), cost=CostModel(),
+        chip=chip, comm=RCCEComm(chip),
         workload=WalkthroughWorkload(frames=1, image_side=32),
         metrics=RunMetrics(), frames=1, num_pipelines=1)
+    stage = graph_stage(bad_ctx, "mcpc_renderer", "mcpc-render", [8],
+                        [[2, 20, 21, 22, 23]])
     with pytest.raises(ValueError):
-        MCPCRenderProcess(bad_ctx, Store(sim))
+        start_stage(stage, bad_ctx)

@@ -123,3 +123,51 @@ def test_profile_cache_hit_refreshes_recency():
     small.profile(2)          # evicts frame 1, not frame 0
     assert (0, 0, 1) in small._profiles
     assert (1, 0, 1) not in small._profiles
+
+
+def test_concurrent_profiles_cull_each_key_once():
+    """Threads sharing a workload (the service's executor) must not cull
+    the same key twice, and must see the single-threaded profiles."""
+    import sys
+    import threading
+    import time
+
+    frames = 6
+    keys = [(f, s, n) for f in range(frames) for n in (1, 2) for s in range(n)]
+    reference = WalkthroughWorkload(frames=frames, image_side=32)
+    expected = {k: reference.profile(*k) for k in keys}
+
+    shared = WalkthroughWorkload(frames=frames, image_side=32)
+    renderer = shared.renderer
+    cull = renderer.profile
+    calls = []
+
+    def counting_profile(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.002)  # widen the miss window across threads
+        return cull(*args, **kwargs)
+
+    renderer.profile = counting_profile
+    workers = 4  # more threads than the CI hosts' cores
+    barrier = threading.Barrier(workers)
+    seen = [{} for _ in range(workers)]
+
+    def worker(i):
+        barrier.wait()
+        for k in keys:
+            seen[i][k] = shared.profile(*k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == len(keys)
+    assert all(got == expected for got in seen)
