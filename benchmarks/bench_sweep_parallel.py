@@ -93,12 +93,8 @@ def prewarm_workload(frames: int) -> None:
     would pay the one-off geometry cost and the comparison would skew.
     """
     workload = default_workload(frames, 400)
-    strip_counts = sorted(set(paper.TABLE1_PIPELINES))
-    for frame in range(frames):
-        workload.profile(frame)
-        for n in strip_counts:
-            for strip in range(n):
-                workload.profile(frame, strip, n)
+    for n in sorted({1, *paper.TABLE1_PIPELINES}):
+        workload.split(n)
 
 
 def canonical(results) -> str:

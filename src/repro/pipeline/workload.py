@@ -7,43 +7,39 @@ procedural city along the actual 400-frame camera path.  That keeps the
 frame-to-frame load variation ("the complexity of the scene") real while
 the 400-frame sweeps run in seconds.
 
-Profiles are memoized per ``(frame, strip, num_strips)``; a process-wide
+Profiles are memoized a whole strip split at a time: the first request
+for any ``(frame, strip)`` of ``num_strips`` strips culls every frame x
+strip of that split in one vectorized pass
+(:meth:`Renderer.profiles <repro.render.Renderer.profiles>`) and keeps
+its counters as two ``(frames, num_strips)`` int arrays.  A process-wide
 default workload instance is shared by the benches (and by the service's
-executor threads, so the memo is locked) and the geometry work is done
-once per key.
+executor threads, so the memo is locked) and each split is culled once.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from functools import lru_cache
-from typing import Optional
+from typing import Dict, Optional
+
+import numpy as np
 
 from ..render import (
     DEFAULT_FRAME_COUNT,
     CityConfig,
     Renderer,
     RenderProfile,
+    SplitProfiles,
     Viewport,
     WalkthroughPath,
     build_city,
 )
 
-__all__ = ["WalkthroughWorkload", "default_workload", "DEFAULT_IMAGE_SIDE",
-           "DEFAULT_PROFILE_CACHE_CAP"]
+__all__ = ["WalkthroughWorkload", "default_workload", "DEFAULT_IMAGE_SIDE"]
 
 #: the paper's main experiments use 400x400 RGBA frames (640 KB — the top
 #: of the Fig. 12 sweep, consistent with its "data in kb" labels)
 DEFAULT_IMAGE_SIDE = 400
-
-#: default bound on the per-workload profile memo.  A profile is a
-#: handful of ints, and a full Table-I crossing on one shared workload
-#: (400 frames x the 1..7-strip splits plus full frames) needs ~14.8k
-#: entries, so the cap never evicts inside a paper-scale sweep; it only
-#: stops open-ended campaigns (unbounded strip-count / frame-count axes
-#: on one long-lived workload) from growing memory without limit.
-DEFAULT_PROFILE_CACHE_CAP = 32768
 
 
 class WalkthroughWorkload:
@@ -57,32 +53,27 @@ class WalkthroughWorkload:
         Square frame side in pixels.
     city:
         Scene configuration (defaults to the standard city).
-    profile_cache_cap:
-        Bound on the memoized profile count (LRU eviction beyond it);
-        profiles are pure functions of their key, so eviction can only
-        cost recomputation, never change a result.
     """
 
     def __init__(self, frames: int = DEFAULT_FRAME_COUNT,
                  image_side: int = DEFAULT_IMAGE_SIDE,
-                 city: Optional[CityConfig] = None,
-                 profile_cache_cap: int = DEFAULT_PROFILE_CACHE_CAP) -> None:
+                 city: Optional[CityConfig] = None) -> None:
         if frames < 1:
             raise ValueError("frames must be >= 1")
         if image_side < 1:
             raise ValueError("image_side must be >= 1")
-        if profile_cache_cap < 1:
-            raise ValueError("profile_cache_cap must be >= 1")
         self.frames = frames
         self.image_side = image_side
         self.city_config = city or CityConfig()
-        self.profile_cache_cap = profile_cache_cap
         self._renderer: Optional[Renderer] = None
         self.path = WalkthroughPath(frames=frames)
-        #: (frame, strip, num_strips) -> RenderProfile, LRU-bounded
-        self._profiles: "OrderedDict[tuple, RenderProfile]" = OrderedDict()
+        #: num_strips -> counters of every frame x strip of that split
+        self._splits: Dict[int, SplitProfiles] = {}
+        #: every frame's camera matrix, built with the first split
+        self._view_projs: Optional[np.ndarray] = None
         #: serializes the memo and the lazy scene build: threads sharing
-        #: a workload must not cull the same key (or build the city) twice
+        #: a workload must not cull the same split (or build the city)
+        #: twice
         self._lock = threading.RLock()
 
     @property
@@ -128,46 +119,54 @@ class WalkthroughWorkload:
         """Render-work counters for one strip of one frame (memoized)."""
         if not 0 <= frame < self.frames:
             raise ValueError(f"frame {frame} out of 0..{self.frames - 1}")
-        key = (frame, strip_index, num_strips)
-        cached = self._profiles.get(key)
-        if cached is None:
-            return self._cull(key)
-        try:
-            self._profiles.move_to_end(key)
-        except KeyError:  # evicted by another thread meanwhile
-            pass
-        return cached
+        if not 0 <= strip_index < num_strips:
+            raise ValueError("strip_index out of range")
+        # split()'s lock-free hit, inlined: timing runs call this per
+        # stage and frame, hundreds of thousands of times per sweep
+        split = self._splits.get(num_strips)
+        if split is None:
+            split = self.split(num_strips)
+        return split.at(frame, strip_index)
 
-    def _cull(self, key: tuple) -> RenderProfile:
-        """Compute and memoize a missing profile, once per key."""
-        frame, strip_index, num_strips = key
-        with self._lock:
-            cached = self._profiles.get(key)
-            if cached is not None:
-                return cached
-            camera = self.path.camera_at(frame)
-            camera.aspect = 1.0
-            prof = self.renderer.profile(
-                camera, self.viewport(strip_index, num_strips),
-                strip_index=strip_index, num_strips=num_strips,
-            )
-            self._profiles[key] = prof
-            while len(self._profiles) > self.profile_cache_cap:
-                self._profiles.popitem(last=False)
-            return prof
+    def split(self, num_strips: int = 1) -> SplitProfiles:
+        """Counters of every frame x strip of one split, culled on the
+        first request in one pass and memoized."""
+        split = self._splits.get(num_strips)
+        if split is None:
+            with self._lock:
+                split = self._splits.get(num_strips)
+                if split is None:
+                    viewports = [self.viewport(s, num_strips)
+                                 for s in range(num_strips)]
+                    split = self.renderer.profiles(
+                        self._camera_matrices(), viewports, num_strips)
+                    self._splits[num_strips] = split
+        return split
+
+    def _camera_matrices(self) -> np.ndarray:
+        """Every frame's full-frame camera matrix, ``(frames, 4, 4)``,
+        built once (the caller holds the lock).
+
+        Each comes from the scalar :meth:`WalkthroughPath.camera_at`: a
+        vectorized ``sin``/``cos`` may round differently by an ulp.
+        """
+        if self._view_projs is None:
+            view_projs = np.empty((self.frames, 4, 4))
+            for f in range(self.frames):
+                camera = self.path.camera_at(f)
+                camera.aspect = 1.0
+                view_projs[f] = camera.view_proj()
+            self._view_projs = view_projs
+        return self._view_projs
 
     def mean_full_frame_profile(self) -> RenderProfile:
         """Average counters over the whole walkthrough, full frames
         (used for calibration and reporting)."""
-        nodes = tris = 0
-        for f in range(self.frames):
-            p = self.profile(f)
-            nodes += p.nodes_visited
-            tris += p.triangles_in_view
+        full = self.split(1)
         n = self.frames
         return RenderProfile(
-            nodes_visited=nodes // n,
-            triangles_in_view=tris // n,
+            nodes_visited=int(full.nodes_visited.sum()) // n,
+            triangles_in_view=int(full.triangles_in_view.sum()) // n,
             pixels=self.image_side * self.image_side,
             culled_everything=False,
         )
@@ -175,7 +174,7 @@ class WalkthroughWorkload:
     def __repr__(self) -> str:
         return (
             f"<WalkthroughWorkload frames={self.frames} "
-            f"side={self.image_side} cached={len(self._profiles)}>"
+            f"side={self.image_side} splits={sorted(self._splits)}>"
         )
 
 

@@ -21,7 +21,7 @@ from .math3d import (
 from .mesh3d import AABB, TriangleMesh, make_box
 from .octree import Octree, OctreeNode, TraversalStats
 from .raster import RasterStats, Viewport, rasterize
-from .renderer import Renderer, RenderProfile
+from .renderer import Renderer, RenderProfile, SplitProfiles
 from .scene import CityConfig, build_city
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "rasterize",
     "Renderer",
     "RenderProfile",
+    "SplitProfiles",
     "CityConfig",
     "build_city",
     "clip_triangle_near",

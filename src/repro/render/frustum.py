@@ -17,7 +17,35 @@ import numpy as np
 
 from .mesh3d import AABB
 
-__all__ = ["Frustum", "strip_view_proj"]
+__all__ = ["Frustum", "frustum_planes", "strip_view_proj"]
+
+
+def _plane_rows(m: np.ndarray) -> np.ndarray:
+    """Unnormalized planes ``(..., 6, 4)`` of ``(..., 4, 4)`` matrices:
+    left, right, bottom, top, near, far = row 3 ± rows 0, 1, 2."""
+    w = m[..., 3:4, :]
+    rows = np.empty(m.shape[:-2] + (6, 4))
+    rows[..., 0::2, :] = w + m[..., :3, :]
+    rows[..., 1::2, :] = w - m[..., :3, :]
+    return rows
+
+
+def _normalized(planes: np.ndarray) -> np.ndarray:
+    """Scale each ``(n, d)`` plane to a unit normal, so distances are
+    metric; a zero normal is a degenerate plane."""
+    norms = np.linalg.norm(planes[..., :3], axis=-1, keepdims=True)
+    if np.any(norms < 1e-12):
+        raise ValueError("degenerate frustum plane")
+    return planes / norms
+
+
+def frustum_planes(view_projs: np.ndarray) -> np.ndarray:
+    """The normalized planes ``(Q, 6, 4)`` of ``Q`` view-projection
+    matrices ``(Q, 4, 4)``: :meth:`Frustum.from_view_proj`, batched."""
+    m = np.asarray(view_projs, dtype=np.float64)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise ValueError("view_projs must be (Q, 4, 4)")
+    return _normalized(_plane_rows(m))
 
 
 class Frustum:
@@ -28,11 +56,7 @@ class Frustum:
         planes = np.asarray(planes, dtype=np.float64)
         if planes.shape != (6, 4):
             raise ValueError("a frustum needs exactly six (n, d) planes")
-        # Normalize so distances are metric.
-        norms = np.linalg.norm(planes[:, :3], axis=1, keepdims=True)
-        if np.any(norms < 1e-12):
-            raise ValueError("degenerate frustum plane")
-        self.planes = planes / norms
+        self.planes = _normalized(planes)
 
     @classmethod
     def from_view_proj(cls, view_proj: np.ndarray) -> "Frustum":
@@ -40,15 +64,7 @@ class Frustum:
         m = np.asarray(view_proj, dtype=np.float64)
         if m.shape != (4, 4):
             raise ValueError("view_proj must be 4x4")
-        rows = [
-            m[3] + m[0],   # left
-            m[3] - m[0],   # right
-            m[3] + m[1],   # bottom
-            m[3] - m[1],   # top
-            m[3] + m[2],   # near
-            m[3] - m[2],   # far
-        ]
-        return cls(np.vstack(rows))
+        return cls(_plane_rows(m))
 
     # -- queries ------------------------------------------------------------
     def contains_point(self, p: np.ndarray) -> bool:

@@ -12,7 +12,7 @@ a cache-starved P54C.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -20,6 +20,12 @@ from .frustum import Frustum
 from .mesh3d import AABB, TriangleMesh
 
 __all__ = ["TraversalStats", "OctreeNode", "Octree"]
+
+#: frusta :meth:`Octree.count_frusta` tests at once: bounds its
+#: ``(chunk, nodes, 6, 3)`` p-vertex transient (under 1 MB for the
+#: 81-node city) whatever the number of frusta; larger chunks measured
+#: no faster
+CULL_CHUNK = 16
 
 
 @dataclass
@@ -99,6 +105,7 @@ class Octree:
         self.leaf_count = 0
         self._build(self.root, np.arange(mesh.num_triangles), depth=0)
         self._finalize(self.root)
+        self._flatten()
 
     def _finalize(self, node: OctreeNode) -> None:
         """Precompute per-node child lists and stacked bounds.
@@ -119,6 +126,37 @@ class Octree:
                                   dtype=np.float64)
         node.child_his = np.array([c.bounds.hi for c in live],
                                   dtype=np.float64)
+
+    def _flatten(self) -> None:
+        """Flat breadth-first arrays of the tree for :meth:`count_frusta`.
+
+        Node ``i`` has bounds ``node_lo[i]``/``node_hi[i]``, its parent's
+        index ``node_parent[i]`` (the root's is 0), ``child_count[i]``
+        live children and ``leaf_tris[i]`` triangles (0 for internal
+        nodes).  ``_levels`` holds each depth's ``[start, stop)`` slice;
+        in BFS order every parent precedes its level.
+        """
+        nodes: List[OctreeNode] = [self.root]
+        parents = [0]
+        levels: List[Tuple[int, int]] = []
+        start = 0
+        while start < len(nodes):
+            stop = len(nodes)
+            levels.append((start, stop))
+            for i in range(start, stop):
+                for child in nodes[i].live_children or ():
+                    nodes.append(child)
+                    parents.append(i)
+            start = stop
+        self.node_lo = np.array([n.bounds.lo for n in nodes], dtype=np.float64)
+        self.node_hi = np.array([n.bounds.hi for n in nodes], dtype=np.float64)
+        self.node_parent = np.array(parents, dtype=np.int64)
+        self.child_count = np.array([len(n.live_children or ()) for n in nodes],
+                                    dtype=np.int64)
+        self.leaf_tris = np.array(
+            [len(n.triangle_indices) if n.triangle_indices is not None else 0
+             for n in nodes], dtype=np.int64)
+        self._levels = levels
 
     # -- construction -----------------------------------------------------------
     def _build(self, node: OctreeNode, indices: np.ndarray,
@@ -166,6 +204,42 @@ class Octree:
         out = np.concatenate(collected)
         stats.triangles_collected = len(out)
         return out
+
+    def count_frusta(self, planes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Cull counters of many frusta at once, without collecting.
+
+        ``planes`` holds ``Q`` normalized frusta as ``(Q, 6, 4)`` (see
+        :func:`~repro.render.frustum.frustum_planes`).  Returns the
+        ``(Q,)`` int64 arrays ``(nodes_visited, triangles)`` that
+        :meth:`query_frustum` reports as ``stats.nodes_visited`` and
+        ``len(indices)``.  Every node is tested against every frustum
+        with the p-vertex arithmetic of :meth:`Frustum._classify_boxes`;
+        a node is reached when it and all its ancestors pass.  A query
+        visits the root plus every child of each reached internal node,
+        and collects the triangles of each reached leaf.
+        """
+        planes = np.asarray(planes, dtype=np.float64)
+        if planes.ndim != 3 or planes.shape[1:] != (6, 4):
+            raise ValueError("planes must be (Q, 6, 4)")
+        visited = np.empty(len(planes), dtype=np.int64)
+        triangles = np.empty(len(planes), dtype=np.int64)
+        lo = self.node_lo[None, :, None, :]
+        hi = self.node_hi[None, :, None, :]
+        for start in range(0, len(planes), CULL_CHUNK):
+            chunk = planes[start:start + CULL_CHUNK]
+            normals = chunk[:, :, :3]                       # (c, 6, 3)
+            # (c, N, 6, 3): hi where the plane normal component is >= 0
+            pv = np.where(normals[:, None, :, :] >= 0.0, hi, lo)
+            dist = (np.einsum("cnij,cij->cni", pv, normals)
+                    + chunk[:, None, :, 3])
+            reached = np.all(dist >= -1e-9, axis=2)         # (c, N)
+            for first, stop in self._levels[1:]:
+                reached[:, first:stop] &= \
+                    reached[:, self.node_parent[first:stop]]
+            end = start + len(chunk)
+            visited[start:end] = 1 + reached @ self.child_count
+            triangles[start:end] = reached @ self.leaf_tris
+        return visited, triangles
 
     def _query(self, node: OctreeNode, frustum: Frustum,
                collected: List[np.ndarray], stats: TraversalStats) -> None:

@@ -96,58 +96,96 @@ def test_workload_repr(workload):
     assert "side=400" in repr(workload)
 
 
-def test_profile_cache_cap_validation():
+def test_profile_validation(workload):
     with pytest.raises(ValueError):
-        WalkthroughWorkload(profile_cache_cap=0)
+        workload.profile(0, 4, 4)
+    with pytest.raises(ValueError):
+        workload.profile(0, -1, 4)
+    with pytest.raises(ValueError):
+        workload.profile(0, 0, 0)
 
 
-def test_profile_cache_evicts_lru_and_preserves_results():
-    small = WalkthroughWorkload(frames=16, image_side=400,
-                                profile_cache_cap=4)
-    reference = {f: small.profile(f) for f in range(8)}
-    # the memo never exceeds its cap; the oldest entries were evicted
-    assert len(small._profiles) == 4
-    assert (0, 0, 1) not in small._profiles
-    # recomputing an evicted profile yields the identical result
-    for f, ref in reference.items():
-        again = small.profile(f)
-        assert again == ref
-
-
-def test_profile_cache_hit_refreshes_recency():
-    small = WalkthroughWorkload(frames=16, image_side=400,
-                                profile_cache_cap=2)
+def test_split_memo_holds_one_entry_per_strip_count():
+    small = WalkthroughWorkload(frames=16, image_side=400)
+    small.profile(3, 1, 4)
+    small.profile(5, 3, 4)
+    assert sorted(small._splits) == [4]
     small.profile(0)
-    small.profile(1)
-    small.profile(0)          # touch frame 0: now most-recently used
-    small.profile(2)          # evicts frame 1, not frame 0
-    assert (0, 0, 1) in small._profiles
-    assert (1, 0, 1) not in small._profiles
+    assert sorted(small._splits) == [1, 4]
+    split = small.split(4)
+    assert split is small._splits[4]
+    for counts in (split.nodes_visited, split.triangles_in_view):
+        assert counts.shape == (16, 4)
+        assert counts.dtype.kind == "i"
+    for f in range(16):
+        for s in range(4):
+            p = small.profile(f, s, 4)
+            assert p.nodes_visited == split.nodes_visited[f, s]
+            assert p.triangles_in_view == split.triangles_in_view[f, s]
+            assert p.pixels == small.viewport(s, 4).pixels
+            assert p.culled_everything == (p.triangles_in_view == 0)
 
 
-def test_concurrent_profiles_cull_each_key_once():
+def test_split_memo_culls_each_split_once_and_never_per_key():
+    small = WalkthroughWorkload(frames=8, image_side=64)
+    renderer = small.renderer
+    batch = renderer.profiles
+    calls = []
+
+    def counting_profiles(*args, **kwargs):
+        calls.append(args[2])
+        return batch(*args, **kwargs)
+
+    def per_key_profile(*args, **kwargs):
+        pytest.fail("the workload culled a single key")
+
+    renderer.profiles = counting_profiles
+    renderer.profile = per_key_profile
+    for _ in range(2):
+        for n in (1, 3, 2):
+            for f in range(8):
+                for s in range(n):
+                    small.profile(f, s, n)
+        small.mean_full_frame_profile()
+    assert calls == [1, 3, 2]
+
+
+def oracle_profile(workload, frame, strip, num_strips):
+    """The per-key octree walk the split cull replaces."""
+    from repro.render import TraversalStats
+
+    camera = workload.path.camera_at(frame)
+    stats = TraversalStats()
+    indices = workload.renderer.visible_triangles(camera, strip, num_strips,
+                                                  stats)
+    return stats.nodes_visited, len(indices)
+
+
+def test_concurrent_profiles_cull_each_split_once():
     """Threads sharing a workload (the service's executor) must not cull
-    the same key twice, and must see the single-threaded profiles."""
+    the same split twice, and must see the per-key octree walk's
+    counters."""
     import sys
     import threading
     import time
 
     frames = 6
-    keys = [(f, s, n) for f in range(frames) for n in (1, 2) for s in range(n)]
+    keys = [(f, s, n) for f in range(frames) for n in (1, 2, 3)
+            for s in range(n)]
     reference = WalkthroughWorkload(frames=frames, image_side=32)
-    expected = {k: reference.profile(*k) for k in keys}
+    expected = {k: oracle_profile(reference, *k) for k in keys}
 
     shared = WalkthroughWorkload(frames=frames, image_side=32)
     renderer = shared.renderer
-    cull = renderer.profile
+    cull = renderer.profiles
     calls = []
 
-    def counting_profile(*args, **kwargs):
-        calls.append(1)
+    def counting_profiles(*args, **kwargs):
+        calls.append(args[2])
         time.sleep(0.002)  # widen the miss window across threads
         return cull(*args, **kwargs)
 
-    renderer.profile = counting_profile
+    renderer.profiles = counting_profiles
     workers = 4  # more threads than the CI hosts' cores
     barrier = threading.Barrier(workers)
     seen = [{} for _ in range(workers)]
@@ -169,5 +207,7 @@ def test_concurrent_profiles_cull_each_key_once():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(calls) == len(keys)
-    assert all(got == expected for got in seen)
+    assert sorted(calls) == [1, 2, 3]
+    for got in seen:
+        assert {k: (p.nodes_visited, p.triangles_in_view)
+                for k, p in got.items()} == expected
