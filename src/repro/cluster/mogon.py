@@ -271,6 +271,5 @@ class ClusterRunner:
             scc_avg_power_w=0.0,
             mcpc_energy_above_idle_j=0.0,
             idle_quartiles=self.metrics.idle_quartiles(),
-            busy_means={k: acc.mean
-                        for k, acc in self.metrics.busy.items()},
+            busy_means=self.metrics.busy_means(),
         )

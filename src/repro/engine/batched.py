@@ -21,8 +21,8 @@ constant period Δ.  This engine exploits that structure twice:
    per-resource ``free_at`` offsets and the last period's metric samples
    (held in numpy arrays for the vectorised closeness checks).  Three
    consecutive matching snapshots mean the run is periodic; the engine
-   then advances every clock, heap entry, store item and resource by
-   ``J·Δ`` in one step and synthesises the skipped frames' metrics from
+   then advances every clock, heap entry and resource by ``J·Δ`` in
+   one step and synthesises the skipped frames' metrics from
    the observed period.  Because render costs vary per frame (the
    workload carries real per-frame culling statistics), a jump is taken
    only when the variation is provably absorbed by a blocking hand-off:
@@ -130,16 +130,13 @@ class _Res:
     open, a request arriving at-or-after ``free_at`` closes it.
     """
 
-    __slots__ = ("free_at", "busy_since", "busy_time", "acct",
-                 "period_busy")
+    __slots__ = ("free_at", "busy_since", "busy_time", "acct")
 
     def __init__(self, acct: bool = False) -> None:
         self.free_at = 0.0
         self.busy_since: Optional[float] = None
         self.busy_time = 0.0
         self.acct = acct
-        #: busy seconds accrued over the last observed steady period
-        self.period_busy = 0.0
 
     def busy_until(self, t: float) -> float:
         """Closed busy time plus the currently open interval up to t."""
@@ -158,21 +155,23 @@ class _Res:
 
 
 class _Store:
-    """FIFO store with the event kernel's rendezvous wake order."""
+    """FIFO store with the event kernel's rendezvous wake order.
 
-    __slots__ = ("capacity", "items", "getters", "putters", "shift")
+    In timing mode a hand-off is pure flow control — no stage reads
+    what it receives — so the store counts its items instead of holding
+    them; the waiting getters and blocked putters are actors.
+    """
 
-    def __init__(self, capacity: Optional[int] = None,
-                 shift: Optional[Callable[[Any, int], Any]] = None) -> None:
+    __slots__ = ("capacity", "items", "getters", "putters")
+
+    def __init__(self, capacity: Optional[int] = None) -> None:
         self.capacity: float = math.inf if capacity is None else capacity
-        self.items: deque = deque()
+        self.items = 0
         self.getters: deque = deque()
         self.putters: deque = deque()
-        #: renumbers a queued item's frame tag across a wave jump
-        self.shift = shift
 
     def signature(self) -> Tuple[int, int, int]:
-        return (len(self.items), len(self.getters), len(self.putters))
+        return (self.items, len(self.getters), len(self.putters))
 
 
 class _Chan:
@@ -183,8 +182,7 @@ class _Chan:
 
     def __init__(self, src: int, dst: int) -> None:
         self.recv_posted = _Store()
-        self.data_ready = _Store(
-            shift=lambda item, j: (item[0], item[1] + j))
+        self.data_ready = _Store()
         self.src = src
         self.dst = dst
 
@@ -244,10 +242,6 @@ class _Actor:
         #: op counter since the last anchor (part of the phase signature)
         self.op_i = 0
         self.done = False
-        self.resume: Any = None
-        #: renumbers ``resume`` across a jump (the shift fn of the store
-        #: the pending wake-up value came from)
-        self.resume_shift: Optional[Callable[[Any, int], Any]] = None
         self.pending: Any = None
         self.gen: Any = None
         self.anchor_t: Optional[float] = None
@@ -274,10 +268,11 @@ class _Actor:
     def body(self) -> Generator[Op, Any, None]:
         eng = self.eng
         synth = eng.synth
-        idle = eng.idle_samples.get(self.key, [])
-        busy = eng.busy_samples.get(self.key, [])
-        births = eng.births
+        metrics = eng.metrics
         host = self.core_id < 0
+        # appended to in place: the engine's RunMetrics is the one store
+        idle = [] if self.source else metrics.idle[self.key].samples
+        busy = [] if host else metrics.busy[self.key].samples
         steps = self.steps
         while self.frame < eng.frames:
             self.anchor()
@@ -285,7 +280,7 @@ class _Actor:
                 eng.on_trigger_anchor(self)
             if self.source:
                 self.span_start = self.t
-                births.setdefault(self.frame, self.t)
+                metrics.mark_frame_birth(self.frame, self.t)
             for code, a, b, c, d in steps:
                 if code == _SEND:
                     # RCCE send: rendezvous token, deposit, data-ready
@@ -297,12 +292,12 @@ class _Actor:
                         synth.rendezvous(a.src, a.dst, self.wait_start,
                                          self.t, c, self.frame)
                     yield ("s", b)
-                    yield ("p", a.data_ready, (c, self.frame))
+                    yield ("p", a.data_ready)
                     if synth is not None:
                         synth.delivered(c)
                 elif code == _RECV:
                     # RCCE recv: post the token, wait, fetch the message
-                    yield ("p", a.recv_posted, None)
+                    yield ("p", a.recv_posted)
                     self.wait_start = self.t
                     yield ("g", a.data_ready)
                     if c:
@@ -343,12 +338,12 @@ class _Actor:
                         self.span_start = self.t
                 elif code == _PUT:
                     self.wait_start = self.t
-                    yield ("p", a, (self.frame, None))
+                    yield ("p", a)
                     if d:
                         self._observe()
                 else:  # _DOWNLINK
                     yield ("s", a)
-                    eng.record_completion(self.frame, self.t)
+                    metrics.record_frame_done(self.frame, self.t)
             start = self.span_start
             assert start is not None
             if host:
@@ -376,16 +371,6 @@ class _Actor:
             if v is not None:
                 setattr(self, attr, v + s)
         self.frame += j
-        # Frame-tagged values in flight through the scheduler renumber
-        # with the jump, exactly like queued store items do:
-        if self.resume is not None and self.resume_shift is not None:
-            self.resume = self.resume_shift(self.resume, j)
-        pend = self.pending
-        if pend is not None and pend[0] == 1 and pend[1][0] == "p":
-            op = pend[1]
-            store: _Store = op[1]
-            if store.shift is not None and op[2] is not None:
-                self.pending = (1, (op[0], store, store.shift(op[2], j)))
 
     def budget_ok(self, j: int, delta: float) -> bool:
         """May the next ``j`` frames be skipped despite varying costs?
@@ -431,7 +416,7 @@ class _Actor:
                 eng.mcpc_segments.append((base + i * delta,
                                           self.frame_compute(a0 + i)))
         if self.source:
-            births = eng.births
+            births = eng.metrics.frame_birth
             assert self.anchor_t is not None
             for i in range(1, j):
                 f = a0 + i
@@ -458,7 +443,7 @@ class _Snapshot:
                  ops: Tuple[int, ...], deltas: np.ndarray,
                  stores: Tuple[Tuple[int, int, int], ...],
                  res_off: np.ndarray, mc_busy: np.ndarray,
-                 lens: Dict[Tuple[str, str], int],
+                 lens: Tuple[int, ...],
                  tel: Optional[Any] = None) -> None:
         self.T = T
         self.frames = frames
@@ -513,11 +498,6 @@ class BatchedEngine:
                                     for _ in range(NUM_MEMORY_CONTROLLERS)]
         self._all_res: List[_Res] = list(self._mc_res)
         self._chans: Dict[Tuple[int, int], _Chan] = {}
-        self.idle_samples: Dict[str, List[float]] = {}
-        self.busy_samples: Dict[str, List[float]] = {}
-        self.births: Dict[int, float] = {}
-        self.completions: List[Tuple[int, float]] = []
-        self.latency_samples: List[float] = []
         self.mcpc_segments: List[Tuple[float, float]] = []
         self.end_time = 0.0
         #: jump bookkeeping (exposed for tests/benchmarks)
@@ -622,9 +602,7 @@ class BatchedEngine:
     def _queue(self, name: str) -> _Store:
         store = self._queues.get(name)
         if store is None:
-            store = self._queues[name] = _Store(
-                capacity=QUEUE_CAPACITY[name],
-                shift=lambda item, j: (item[0] + j, item[1]))
+            store = self._queues[name] = _Store(QUEUE_CAPACITY[name])
             self.stores.append(store)
         return store
 
@@ -637,16 +615,24 @@ class BatchedEngine:
         self._downlink_res = self._new_res()
         self._uplink_res: Optional[_Res] = None
         self._queues: Dict[str, _Store] = {}
+        #: every sample, birth and completion of the run, written in
+        #: place by the actor bodies and extended in place by a jump
+        self.metrics = metrics = RunMetrics()
         # The frequency plan first: chip.compute_time must see the
         # planned clocks when the programs are compiled below.
         self._active_cores = graph.cores()
         runner._apply_frequency_plan(self.chip, graph)
         self.chip.power.set_cores_active(self._active_cores, True)
         for stage in graph.stages:
+            # the keys the bodies append to, in stage-graph order
             if stage.core is not None:
-                self.idle_samples.setdefault(stage.key, [])
-                self.busy_samples.setdefault(stage.key, [])
+                metrics.busy_of(stage.key)
+            if stage.inputs:
+                metrics.idle_of(stage.key)
             self.actors.append(self._compile(stage))
+        #: every list the bodies append samples to (the keys are fixed now)
+        self._sample_lists = [acc.samples for acc in (
+            *metrics.idle.values(), *metrics.busy.values())]
         synth = self.synth
         if synth is not None:
             # Track -> core bindings in the runner's stage-start order
@@ -819,9 +805,6 @@ class BatchedEngine:
     def _drive(self, actor: _Actor) -> None:
         heap = self.heap
         gen = actor.gen
-        val = actor.resume
-        actor.resume = None
-        actor.resume_shift = None
         op: Optional[Op] = None
         pend = actor.pending
         if pend is not None:
@@ -835,13 +818,12 @@ class BatchedEngine:
         while True:
             if op is None:
                 try:
-                    op = gen.send(val)
+                    op = next(gen)
                 except StopIteration:
                     actor.done = True
                     if actor.t > self.end_time:
                         self.end_time = actor.t
                     return
-                val = None
                 actor.op_i += 1
             kind = op[0]
             if kind == "d":
@@ -866,11 +848,10 @@ class BatchedEngine:
                     return
                 store = op[1]
                 if store.items:
-                    val = store.items.popleft()
-                    while (store.putters
-                           and len(store.items) < store.capacity):
-                        p_actor, item = store.putters.popleft()
-                        store.items.append(item)
+                    store.items -= 1
+                    while store.putters and store.items < store.capacity:
+                        p_actor = store.putters.popleft()
+                        store.items += 1
                         p_actor.pending = (2,)
                         self._push(actor.t, p_actor)
                     op = None
@@ -883,21 +864,19 @@ class BatchedEngine:
                     self._push(actor.t, actor)
                     return
                 store = op[1]
-                if len(store.items) < store.capacity:
+                if store.items < store.capacity:
                     if store.getters:
                         getter = store.getters.popleft()
-                        getter.resume = op[2]
-                        getter.resume_shift = store.shift
                         # the event kernel resumes the woken receiver
                         # before the sender continues — same order here
                         self._push(actor.t, getter)
                         actor.pending = (2,)
                         self._push(actor.t, actor)
                         return
-                    store.items.append(op[2])
+                    store.items += 1
                     op = None
                 else:
-                    store.putters.append((actor, op[2]))
+                    store.putters.append(actor)
                     return
             else:  # pragma: no cover - op vocabulary is closed
                 raise AssertionError(f"unknown op {op!r}")
@@ -915,13 +894,6 @@ class BatchedEngine:
         if stuck:  # pragma: no cover - would mirror an event deadlock
             raise RuntimeError(f"batched engine deadlock: {stuck}")
 
-    # -- metric recording --------------------------------------------------
-    def record_completion(self, frame: int, t: float) -> None:
-        self.completions.append((frame, t))
-        birth = self.births.get(frame)
-        if birth is not None:
-            self.latency_samples.append(t - birth)
-
     # -- steady-state detection -------------------------------------------
     def _snapshot(self, trig: _Actor) -> _Snapshot:
         T = trig.t
@@ -935,26 +907,21 @@ class BatchedEngine:
         stores = tuple(s.signature() for s in self.stores)
         res_off = np.array([r.free_at - T for r in self._all_res])
         mc_busy = np.array([r.busy_until(T) for r in self._mc_res])
-        lens = {("i", k): len(v) for k, v in self.idle_samples.items()}
-        lens.update({("b", k): len(v)
-                     for k, v in self.busy_samples.items()})
+        lens = tuple(len(lst) for lst in self._sample_lists)
         tel = self.synth.phase_sig() if self.synth is not None else None
         return _Snapshot(T, frames, ops, deltas, stores, res_off, mc_busy,
                          lens, tel)
 
     def _slices_match(self, snap: _Snapshot, prev: _Snapshot,
                       prev2: _Snapshot) -> bool:
-        for tag, samples in (("i", self.idle_samples),
-                             ("b", self.busy_samples)):
-            for key, lst in samples.items():
-                k = (tag, key)
-                l2, l1, l0 = prev2.lens[k], prev.lens[k], snap.lens[k]
-                if l0 - l1 != l1 - l2:
-                    return False
-                a = np.array(lst[l1:l0])
-                b = np.array(lst[l2:l1])
-                if a.size and not np.allclose(a, b, rtol=_RTOL, atol=_ATOL):
-                    return False
+        for lst, l2, l1, l0 in zip(self._sample_lists, prev2.lens,
+                                   prev.lens, snap.lens):
+            if l0 - l1 != l1 - l2:
+                return False
+            a = np.array(lst[l1:l0])
+            b = np.array(lst[l2:l1])
+            if a.size and not np.allclose(a, b, rtol=_RTOL, atol=_ATOL):
+                return False
         return True
 
     def _steady(self, snap: _Snapshot, prev: _Snapshot,
@@ -1017,34 +984,28 @@ class BatchedEngine:
         self.jumps.append((trig.frame, j, delta))
 
         # 1. repeat the last observed period's metric samples j times
-        for tag, samples in (("i", self.idle_samples),
-                             ("b", self.busy_samples)):
-            for key, lst in samples.items():
-                k = (tag, key)
-                sl = lst[prev.lens[k]:snap.lens[k]]
-                if sl:
-                    lst.extend(sl * j)
+        for lst, lo, hi in zip(self._sample_lists, prev.lens, snap.lens):
+            sl = lst[lo:hi]
+            if sl:
+                lst.extend(sl * j)
 
         # 2. actor-specific synthesis (births, MCPC power segments)
         for a in self.actors:
             a.synthesize(j, delta)
 
         # 3. completions + latencies of the skipped frames
-        last_f, last_t = self.completions[-1]
+        metrics = self.metrics
+        last_f, last_t = metrics.frame_completions[-1]
         for i in range(1, j + 1):
-            f = last_f + i
-            t = last_t + i * delta
-            self.completions.append((f, t))
-            birth = self.births.get(f)
-            if birth is not None:
-                self.latency_samples.append(t - birth)
+            metrics.record_frame_done(last_f + i, last_t + i * delta)
 
         # 4. renumber the in-flight frames' births (identity f -> f+j)
+        births = metrics.frame_birth
         max_frame = max(a.frame for a in self.actors)
         for f in range(trig.frame, max_frame + 1):
-            b = self.births.get(f)
+            b = births.get(f)
             if b is not None:
-                self.births[f + j] = b + s
+                births[f + j] = b + s
 
         # 5. resources: accrue the skipped busy time, shift the clocks
         mc_accrued = snap.mc_busy - prev.mc_busy
@@ -1060,19 +1021,13 @@ class BatchedEngine:
                 # running sum — one add per jump, same as free_at:
                 r.busy_since += s  # lint: disable=DET007
 
-        # 6. shift every clock: actors, heap entries, queued store items
+        # 6. shift every clock: actors and heap entries (the stores hold
+        # counts and actors, nothing that carries a time or a frame)
         for a in self.actors:
             a.shift(s, j)
         # In place: _drive/_run_prog hold references to this very list.
         self.heap[:] = [(t + s, seq, a) for (t, seq, a) in self.heap]
         heapify(self.heap)
-        for store in self.stores:
-            if store.shift is not None and store.items:
-                store.items = deque(store.shift(item, j)
-                                    for item in store.items)
-            if store.shift is not None and store.putters:
-                store.putters = deque((a, store.shift(item, j))
-                                      for a, item in store.putters)
 
         # 7. telemetry: register the captured period as a periodic block,
         # advance counters in closed form, mark the wave for live sinks
@@ -1095,18 +1050,7 @@ class BatchedEngine:
             self.sim.run(until=end)
             self.chip.power.set_cores_active(self._active_cores, False)
 
-        metrics = RunMetrics()
-        metrics.frame_birth = dict(self.births)
-        for key, vals in self.idle_samples.items():
-            for v in vals:
-                metrics.record_idle(key, v)
-        for key, vals in self.busy_samples.items():
-            for v in vals:
-                metrics.record_busy(key, v)
-        metrics.frame_completions = list(self.completions)
-        for v in self.latency_samples:
-            metrics.latency.add(v)
-
+        metrics = self.metrics
         mcfg = self.mcpc_config
         mcpc_trace = TimeSeries("mcpc_power", initial=mcfg.power_idle_w)
         for start, dur in self.mcpc_segments:

@@ -144,7 +144,7 @@ class CostModel:
         """
         total = self.render_seconds(profile)
         for key in FILTER_SECONDS_FULL_FRAME:
-            total += self.filter_seconds(key, profile.pixels)
+            total += self.filter_seconds(key, profile.pixels)  # lint: disable=DET007 -- goldens pin this order
         total += self.assemble_seconds(profile.pixels)
         return total
 

@@ -225,7 +225,7 @@ class MacroPipeline:
             items_completed=len(sink.items),
             makespan_s=makespan,
             throughput=len(sink.items) / makespan if makespan > 0 else 0.0,
-            stage_busy_means={k: a.mean for k, a in metrics.busy.items()},
+            stage_busy_means=metrics.busy_means(),
             stage_idle_means={k: a.mean for k, a in metrics.idle.items()},
             outputs=outputs,
             energy_j=self.chip.power.energy(t0, end),

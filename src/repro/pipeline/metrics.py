@@ -16,7 +16,12 @@ __all__ = ["RunMetrics", "RunResult"]
 
 
 class RunMetrics:
-    """Mutable collector the stages write into during a run."""
+    """Mutable collector the stages write into during a run.
+
+    Samples are appended unchecked on the hot paths (the event engine's
+    span sink, the batched engine's actor bodies); :meth:`check` rejects
+    a negative one before any quartile or mean is taken from them.
+    """
 
     def __init__(self) -> None:
         #: per stage-key idle-time samples (seconds per frame waited)
@@ -30,17 +35,27 @@ class RunMetrics:
         #: end-to-end frame latency samples (birth -> display)
         self.latency = StatAccumulator("frame_latency")
 
+    def idle_of(self, stage_key: str) -> StatAccumulator:
+        """The idle accumulator of ``stage_key`` (created on first use)."""
+        acc = self.idle.get(stage_key)
+        if acc is None:
+            acc = self.idle[stage_key] = StatAccumulator(stage_key)
+        return acc
+
+    def busy_of(self, stage_key: str) -> StatAccumulator:
+        """The busy accumulator of ``stage_key`` (created on first use)."""
+        acc = self.busy.get(stage_key)
+        if acc is None:
+            acc = self.busy[stage_key] = StatAccumulator(stage_key)
+        return acc
+
     def record_idle(self, stage_key: str, seconds: float) -> None:
         """One wait-for-input interval of a stage."""
-        if seconds < 0:
-            raise ValueError("idle time must be >= 0")
-        self.idle.setdefault(stage_key, StatAccumulator(stage_key)).add(seconds)
+        self.idle_of(stage_key).add(seconds)
 
     def record_busy(self, stage_key: str, seconds: float) -> None:
         """One service interval of a stage."""
-        if seconds < 0:
-            raise ValueError("busy time must be >= 0")
-        self.busy.setdefault(stage_key, StatAccumulator(stage_key)).add(seconds)
+        self.busy_of(stage_key).add(seconds)
 
     def mark_frame_birth(self, frame: int, time: float) -> None:
         """First render work on ``frame`` started (first writer wins —
@@ -56,9 +71,22 @@ class RunMetrics:
                 raise ValueError("frame displayed before it was rendered")
             self.latency.add(time - birth)
 
+    def check(self) -> None:
+        """Raise ValueError if any idle or busy sample is negative."""
+        for what, table in (("idle", self.idle), ("busy", self.busy)):
+            for acc in table.values():
+                if acc.samples and min(acc.samples) < 0:
+                    raise ValueError(f"{what} time must be >= 0")
+
     def idle_quartiles(self) -> Dict[str, Tuple[float, float, float]]:
         """Per-stage (Q1, median, Q3) idle times — the Fig. 15 data."""
+        self.check()
         return {k: acc.quartiles() for k, acc in self.idle.items()}
+
+    def busy_means(self) -> Dict[str, float]:
+        """Per-stage mean service time (seconds per frame)."""
+        self.check()
+        return {k: acc.mean for k, acc in self.busy.items()}
 
 
 @dataclass

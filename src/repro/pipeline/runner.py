@@ -373,7 +373,7 @@ class PipelineRunner:
             scc_avg_power_w=chip.power.average_power(0.0, end),
             mcpc_energy_above_idle_j=mcpc_energy,
             idle_quartiles=metrics.idle_quartiles(),
-            busy_means={key: acc.mean for key, acc in metrics.busy.items()},
+            busy_means=metrics.busy_means(),
             mc_utilizations=mc_utilizations,
             power_trace=power_trace,
             latency_quartiles=(metrics.latency.quartiles()

@@ -20,6 +20,7 @@ Timing parameters follow DDR3-800 (5-5-5): 400 MHz command clock,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -153,14 +154,8 @@ class DRAMBankModel:
         """Total service time of a sequential transfer."""
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        t = self.timings
-        total = 0.0
-        addr = start
-        end = start + nbytes
-        while addr < end:
-            total += self.access(addr)
-            addr += t.burst_bytes
-        return total
+        return math.fsum(self.access(addr) for addr in range(
+            start, start + nbytes, self.timings.burst_bytes))
 
     def random_access_time(self, addresses) -> float:
         """Total service time of scattered bursts (octree-walk style)."""

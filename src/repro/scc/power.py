@@ -131,10 +131,10 @@ class PowerModel:
                 v = self.dvfs.island_voltage(domain)
                 island_v[domain] = v
             # Leakage deviation applies to every core, active or not.
-            power += cfg.lam * (v * v - V_NOMINAL * V_NOMINAL)
+            power += cfg.lam * (v * v - V_NOMINAL * V_NOMINAL)  # lint: disable=DET007 -- goldens pin this order
             if core_id in self._active:
                 f = self.dvfs.core_frequency(core_id)
-                power += cfg.kappa * f * v * v
+                power += cfg.kappa * f * v * v  # lint: disable=DET007 -- goldens pin this order
         return power
 
     # -- reporting ------------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["StatAccumulator", "TimeSeries", "IntervalRecorder", "quantile"]
+__all__ = ["StatAccumulator", "TimeSeries", "quantile"]
 
 
 def quantile(sorted_values: Sequence[float], q: float) -> float:
@@ -36,76 +36,66 @@ def quantile(sorted_values: Sequence[float], q: float) -> float:
 
 
 class StatAccumulator:
-    """Streaming collection of scalar samples with summary statistics.
+    """A list of scalar samples with summary statistics derived on read.
 
-    Stores samples (needed for quartiles) and keeps running sums so that
-    ``mean``/``std`` are O(1).
+    ``samples`` is the one store: writers on a hot path may append
+    floats to it directly instead of calling :meth:`add`.
     """
 
     def __init__(self, name: str = "stat") -> None:
         self.name = name
-        self._samples: List[float] = []
-        self._sum = 0.0
-        self._sum_sq = 0.0
-        self._sorted: Optional[List[float]] = None
+        self.samples: List[float] = []
 
     def add(self, value: float) -> None:
         """Record one sample."""
-        v = float(value)
-        self._samples.append(v)
-        self._sum += v
-        self._sum_sq += v * v
-        self._sorted = None
+        self.samples.append(float(value))
 
     def extend(self, values: Iterable[float]) -> None:
         """Record many samples."""
-        for v in values:
-            self.add(v)
+        self.samples.extend(float(v) for v in values)
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self.samples)
 
     @property
     def count(self) -> int:
-        return len(self._samples)
+        return len(self.samples)
 
     @property
     def total(self) -> float:
         """Sum of all samples."""
-        return self._sum
+        # Left to right, one rounding per sample: the totals the goldens
+        # pin were summed this way, and both sum() (compensated since
+        # Python 3.12) and math.fsum round differently.
+        total = 0.0
+        for v in self.samples:
+            total += v  # lint: disable=DET007 -- goldens pin this order
+        return total
 
     @property
     def mean(self) -> float:
-        if not self._samples:
+        if not self.samples:
             raise ValueError(f"{self.name}: no samples")
-        return self._sum / len(self._samples)
+        return self.total / len(self.samples)
 
     @property
     def std(self) -> float:
         """Population standard deviation (two-pass, cancellation-safe)."""
-        n = len(self._samples)
-        if n == 0:
-            raise ValueError(f"{self.name}: no samples")
-        mean = self._sum / n
-        var = math.fsum((v - mean) ** 2 for v in self._samples) / n
+        mean = self.mean
+        var = math.fsum((v - mean) ** 2 for v in self.samples) / self.count
         return math.sqrt(var)
 
     @property
     def min(self) -> float:
-        return min(self._samples)
+        return min(self.samples)
 
     @property
     def max(self) -> float:
-        return max(self._samples)
-
-    def _ensure_sorted(self) -> List[float]:
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
-        return self._sorted
+        return max(self.samples)
 
     def quantile(self, q: float) -> float:
         """Linear-interpolated quantile of the samples."""
-        return quantile(self._ensure_sorted(), q)
+        return quantile(sorted(self.samples), q)
 
     @property
     def median(self) -> float:
@@ -113,7 +103,7 @@ class StatAccumulator:
 
     def quartiles(self) -> Tuple[float, float, float]:
         """Return ``(Q1, median, Q3)`` — the Fig. 15 box summary."""
-        s = self._ensure_sorted()
+        s = sorted(self.samples)
         return quantile(s, 0.25), quantile(s, 0.5), quantile(s, 0.75)
 
     def summary(self) -> Dict[str, float]:
@@ -132,7 +122,7 @@ class StatAccumulator:
         }
 
     def __repr__(self) -> str:
-        if not self._samples:
+        if not self.samples:
             return f"<StatAccumulator {self.name!r} empty>"
         return (
             f"<StatAccumulator {self.name!r} n={self.count} "
@@ -193,7 +183,7 @@ class TimeSeries:
             seg_start = max(start, t0)
             seg_end = min(end, t1)
             if seg_end > seg_start:
-                total += self.values[i] * (seg_end - seg_start)
+                total += self.values[i] * (seg_end - seg_start)  # lint: disable=DET007 -- goldens pin this order
             if start >= t1:
                 break
         return total
@@ -211,41 +201,3 @@ class TimeSeries:
 
     def __repr__(self) -> str:
         return f"<TimeSeries {self.name!r} points={len(self.times)}>"
-
-
-class IntervalRecorder:
-    """Records labelled open/close intervals (e.g. per-stage idle windows).
-
-    The pipeline stages call :meth:`open` when they start waiting for input
-    and :meth:`close` when data arrives; durations feed a
-    :class:`StatAccumulator` per label.
-    """
-
-    def __init__(self) -> None:
-        self._open: Dict[str, float] = {}
-        self.stats: Dict[str, StatAccumulator] = {}
-
-    def open(self, label: str, t: float) -> None:
-        """Mark the start of an interval for ``label``."""
-        if label in self._open:
-            raise RuntimeError(f"interval {label!r} already open")
-        self._open[label] = t
-
-    def close(self, label: str, t: float) -> float:
-        """Mark the end of an interval; returns its duration."""
-        try:
-            start = self._open.pop(label)
-        except KeyError:
-            raise RuntimeError(f"interval {label!r} is not open")
-        if t < start:
-            raise ValueError("interval closes before it opens")
-        duration = t - start
-        self.stats.setdefault(label, StatAccumulator(label)).add(duration)
-        return duration
-
-    def is_open(self, label: str) -> bool:
-        return label in self._open
-
-    def accumulator(self, label: str) -> StatAccumulator:
-        """The accumulator for ``label`` (created on demand)."""
-        return self.stats.setdefault(label, StatAccumulator(label))

@@ -10,9 +10,10 @@ bottleneck stage saturating, and everything downstream idling.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 __all__ = ["Span", "TraceRecorder", "render_gantt"]
 
@@ -40,7 +41,6 @@ class TraceRecorder:
 
     def __init__(self) -> None:
         self._spans: List[Span] = []
-        self._open: Dict[Tuple[str, str], float] = {}
 
     # -- recording ------------------------------------------------------------
     def add(self, track: str, label: str, start: float, end: float) -> Span:
@@ -48,22 +48,6 @@ class TraceRecorder:
         span = Span(track, label, start, end)
         self._spans.append(span)
         return span
-
-    def begin(self, track: str, label: str, t: float) -> None:
-        """Open a span (one open span per (track, label) at a time)."""
-        key = (track, label)
-        if key in self._open:
-            raise RuntimeError(f"span {key!r} already open")
-        self._open[key] = t
-
-    def end(self, track: str, label: str, t: float) -> Span:
-        """Close a previously opened span."""
-        key = (track, label)
-        try:
-            start = self._open.pop(key)
-        except KeyError:
-            raise RuntimeError(f"span {key!r} was never opened")
-        return self.add(track, label, start, t)
 
     # -- queries ------------------------------------------------------------
     @property
@@ -94,7 +78,7 @@ class TraceRecorder:
             for s in self.spans_on(track)
             if s.end > t0 and s.start < t1
         )
-        covered = 0.0
+        merged: List[float] = []
         cur_start: Optional[float] = None
         cur_end = 0.0
         for a, b in windows:
@@ -103,11 +87,11 @@ class TraceRecorder:
             elif a <= cur_end:
                 cur_end = max(cur_end, b)
             else:
-                covered += cur_end - cur_start
+                merged.append(cur_end - cur_start)
                 cur_start, cur_end = a, b
         if cur_start is not None:
-            covered += cur_end - cur_start
-        return covered / (t1 - t0)
+            merged.append(cur_end - cur_start)
+        return math.fsum(merged) / (t1 - t0)
 
     @property
     def horizon(self) -> float:

@@ -201,7 +201,7 @@ class CounterRegistry:
             elif isinstance(metric, Gauge):
                 out["gauges"][name] = metric.value
             else:
-                out["histograms"][name] = list(metric.stats._samples)
+                out["histograms"][name] = list(metric.stats.samples)
         return out
 
     def merge_snapshot(self, snapshot: Dict[str, Dict[str, object]]) -> None:

@@ -22,18 +22,6 @@ def test_add_and_query_spans():
     assert rec.horizon == 2.0
 
 
-def test_begin_end_pairing():
-    rec = TraceRecorder()
-    rec.begin("x", "busy", 1.0)
-    span = rec.end("x", "busy", 4.0)
-    assert span.duration == pytest.approx(3.0)
-    with pytest.raises(RuntimeError):
-        rec.end("x", "busy", 5.0)
-    rec.begin("x", "busy", 5.0)
-    with pytest.raises(RuntimeError):
-        rec.begin("x", "busy", 6.0)
-
-
 def test_busy_fraction_merges_overlaps():
     rec = TraceRecorder()
     rec.add("t", "a", 0.0, 4.0)

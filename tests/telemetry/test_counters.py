@@ -94,3 +94,23 @@ def test_csv_rows_expand_histograms():
     assert rows["h.count"] == ("histogram", 2.0)
     assert rows["h.mean"] == ("histogram", 5.0)
     assert rows["h.total"] == ("histogram", 10.0)
+
+
+def test_snapshot_merge_round_trips_histogram_samples():
+    samples = [0.1, 0.7, 0.2, 1e-9, 0.30000000000000004]
+    worker = CounterRegistry()
+    for v in samples:
+        worker.observe("stage.latency", v)
+    worker.inc("frames", 5)
+    snap = worker.snapshot()
+    assert snap["histograms"] == {"stage.latency": samples}
+    merged = CounterRegistry()
+    merged.merge_snapshot(snap)
+    merged.merge_snapshot(snap)
+    stats = merged.get("stage.latency").stats
+    assert stats.samples == samples + samples
+    expected = sorted(samples + samples)
+    assert stats.quartiles() == (expected[2] * 0.75 + expected[3] * 0.25,
+                                 expected[4] * 0.5 + expected[5] * 0.5,
+                                 expected[6] * 0.25 + expected[7] * 0.75)
+    assert merged.value("frames") == 10.0
