@@ -18,6 +18,7 @@ import argparse
 from repro.analysis import PeriodPredictor
 from repro.pipeline import PipelineRunner
 from repro.sim import render_gantt
+from repro.telemetry import Telemetry
 
 
 def main() -> None:
@@ -31,8 +32,9 @@ def main() -> None:
         print("=" * 72)
         print(predictor.explain(config, args.pipelines))
 
+        telemetry = Telemetry()
         runner = PipelineRunner(config=config, pipelines=args.pipelines,
-                                frames=args.frames, trace=True)
+                                frames=args.frames, telemetry=telemetry)
         result = runner.run()
         predicted = predictor.predict_period(config, args.pipelines)
         print(f"\n  DES period: {result.seconds_per_frame * 1e3:.1f} ms "
@@ -43,16 +45,13 @@ def main() -> None:
             print(f"  frame latency: "
                   f"{result.latency_quartiles[1] * 1e3:.0f} ms median")
 
-        trace = runner.last_trace
-        assert trace is not None
         # Show pipeline 0's stages plus the shared input/output stages.
-        wanted = []
-        for track in trace.tracks():
-            if track.endswith("[0]") or "[" not in track:
-                wanted.append(track)
-        window = min(trace.horizon, 12 * result.seconds_per_frame)
+        wanted = [track for track in telemetry.tracks("stage")
+                  if track.endswith("[0]") or "[" not in track]
+        window = min(result.walkthrough_seconds,
+                     12 * result.seconds_per_frame)
         print()
-        print(render_gantt(trace, width=64, t1=window, tracks=wanted))
+        print(render_gantt(telemetry, width=64, t1=window, tracks=wanted))
         print()
 
 

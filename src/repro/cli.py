@@ -486,22 +486,37 @@ def _check_out_paths(*paths: Optional[pathlib.Path]) -> Optional[str]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.strict_differential:
+        ignored = [flag for flag, given in (
+            ("--gantt", args.gantt), ("--trace-out", args.trace_out),
+            ("--sanitize", args.sanitize), ("--json", args.json),
+            ("--engine", args.engine != "event"),
+            ("--cache-dir", args.cache_dir)) if given]
+        if ignored:
+            print("error: --strict-differential runs both engines live "
+                  "and prints only their diff; drop "
+                  + ", ".join(ignored), file=sys.stderr)
+            return 2
+        return _cmd_strict_differential(args)
+    if args.gantt and args.json:
+        print("error: --gantt is incompatible with --json (the chart is "
+              "text; use --trace-out for a machine-readable trace)",
+              file=sys.stderr)
+        return 2
     problem = _check_out_paths(args.trace_out)
     if problem:
         print(problem, file=sys.stderr)
         return 2
-    telemetry = Telemetry() if args.trace_out else None
+    telemetry = Telemetry() if args.trace_out or args.gantt else None
     suite = None
     if args.sanitize:
         from .analysis.sanitizers import SanitizerSuite
 
         suite = SanitizerSuite()
-    if args.strict_differential:
-        return _cmd_strict_differential(args)
     runner = PipelineRunner(config=args.config, pipelines=args.pipelines,
                             arrangement=args.arrangement, frames=args.frames,
-                            trace=args.gantt, telemetry=telemetry,
-                            sanitizers=suite, engine=args.engine)
+                            telemetry=telemetry, sanitizers=suite,
+                            engine=args.engine)
     engine_info: Dict[str, Any] = {"requested": args.engine,
                                    "used": args.engine}
     if args.engine == "batched":
@@ -572,11 +587,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         worst = max(result.idle_quartiles.items(), key=lambda kv: kv[1][1])
         print(f"idlest stage  : {worst[0]} "
               f"(median wait {worst[1][1] * 1e3:.1f} ms/frame)")
-    if args.gantt and runner.last_trace is not None:
-        horizon = min(runner.last_trace.horizon,
+    if args.gantt:
+        assert telemetry is not None
+        horizon = min(result.walkthrough_seconds,
                       20 * result.seconds_per_frame)
         print()
-        print(render_gantt(runner.last_trace, width=72, t1=horizon))
+        print(render_gantt(telemetry, width=72, t1=horizon))
     if args.trace_out is not None and telemetry is not None:
         path = write_chrome_trace(args.trace_out, telemetry)
         print(f"Chrome trace  : {path} "

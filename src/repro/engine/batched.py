@@ -32,7 +32,7 @@ constant period Δ.  This engine exploits that structure twice:
    frames).  Runs whose phase never becomes periodic simply execute
    coarsely to the end — correct, just without the extra multiple.
 
-Telemetry and tracing do **not** decline: :mod:`repro.engine.telsynth`
+Telemetry does **not** decline: :mod:`repro.engine.telsynth`
 re-derives the event engine's span/counter stream from the coarse-op
 grant arithmetic (bit-identical floats while executing live) and a wave
 jump advances the stream analytically — the captured period becomes a
@@ -55,6 +55,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..host import MCPCConfig
+from ..pipeline import metrics as run_metrics
 from ..pipeline.metrics import RunMetrics, RunResult
 from ..pipeline.stages import DOWNLINK_CONFIG, QUEUE_CAPACITY, Stage
 from ..scc import SCCChip
@@ -75,8 +76,8 @@ Op = Tuple[Any, ...]
 Prog = List[Tuple[Optional["_Res"], float, Optional[StepMeta]]]
 
 #: The complete decline surface, keyed by a stable machine-readable code
-#: (surfaced in ``repro run --json`` and docs/performance.md).  Tracing
-#: and telemetry are deliberately *absent*: telsynth serves both.
+#: (surfaced in ``repro run --json`` and docs/performance.md).
+#: Telemetry is deliberately *absent*: telsynth serves it.
 BATCHED_DECLINE_REASONS: Dict[str, str] = {
     "payload_mode": "payload mode pushes real pixels through the stages",
     "sanitizers": "runtime sanitizers hook the event kernel",
@@ -187,17 +188,6 @@ class _Chan:
         self.dst = dst
 
 
-def _idle_value(t: float, wait_start: float) -> float:
-    """The float the MetricsSink would record for this wait.
-
-    The sink receives a span ``(t - seconds, t)`` and records its width
-    ``t - (t - seconds)`` — recompute it the same way so the batched
-    engine's idle samples equal the event engine's to the last bit.
-    """
-    seconds = t - wait_start
-    return t - (t - seconds)
-
-
 # ---------------------------------------------------------------------------
 # actors: one per stage of the graph
 # ---------------------------------------------------------------------------
@@ -303,7 +293,8 @@ class _Actor:
                     if c:
                         # Fig. 15 idle counts only the first input's wait;
                         # later inputs' waits are span-only (detail only)
-                        idle.append(_idle_value(self.t, self.wait_start))
+                        idle.append(run_metrics.idle_sample(
+                            self.t, self.t - self.wait_start))
                         if synth is not None:
                             synth.stage_idle(self.span_key, self.t,
                                              self.t - self.wait_start)
@@ -330,7 +321,8 @@ class _Actor:
                     self.wait_start = self.t
                     yield ("g", a)
                     if c:
-                        idle.append(_idle_value(self.t, self.wait_start))
+                        idle.append(run_metrics.idle_sample(
+                            self.t, self.t - self.wait_start))
                         if synth is not None:
                             synth.stage_idle(self.span_key, self.t,
                                              self.t - self.wait_start)
@@ -1065,9 +1057,6 @@ class BatchedEngine:
         runner.last_metrics = metrics
         runner.last_chip = self.chip
         runner.last_viewer = None
-        runner.last_trace = (self.synth.build_trace()
-                             if self.synth is not None and runner.trace
-                             else None)
         runner.last_telemetry = runner.telemetry or Telemetry(enabled=False)
 
         return runner._result(self.placement, end, metrics, self.chip,

@@ -29,7 +29,6 @@ below; the lint gate enforces the boundary.
 run request               hub                     detail
 ========================  ======================  =====================
 telemetry enabled         the runner's hub        True (full fidelity)
-trace only                private enabled hub     False (stage spans)
 sinks only (streaming)    the runner's hub        False (stage spans)
 neither                   no synth at all         (plain fast path)
 ========================  ======================  =====================
@@ -41,8 +40,7 @@ import math
 from typing import Any, Dict, Optional, Tuple
 
 from ..pipeline.stages import StageTelemetry
-from ..sim.trace import TraceRecorder
-from ..telemetry import Telemetry, TraceSink
+from ..telemetry import Telemetry
 
 __all__ = ["TelemetrySynth", "make_synth", "PhaseSig", "StepMeta"]
 
@@ -178,35 +176,18 @@ class TelemetrySynth(StageTelemetry):
                     self.counters.inc(name, d * waves)
         self.hub.emit("engine", "wave", t_wave, frames=waves, dt=delta)
 
-    # -- end-of-run products ----------------------------------------------
-    def build_trace(self) -> TraceRecorder:
-        """Gantt trace from the synthesized stage busy spans (what the
-        event engine's TraceSink would have recorded)."""
-        recorder = TraceRecorder()
-        sink = TraceSink(recorder)
-        for event in self.hub.events:
-            sink(event)
-        return recorder
-
 
 def make_synth(runner: Any) -> Optional[TelemetrySynth]:
     """Pick the hub (and fidelity) a batched run should synthesize into.
 
     Mirrors the event path's wiring: an enabled runner hub gets full
-    detail; a trace-only run gets stage spans into a private hub (with
-    the runner hub's sinks bridged in, so live progress still streams);
-    a disabled-but-sinked hub gets the sink-only span stream; otherwise
-    telemetry synthesis is skipped entirely and the engine runs its
-    plain fast path.
+    detail; a disabled-but-sinked hub gets the sink-only span stream;
+    otherwise telemetry synthesis is skipped entirely and the engine
+    runs its plain fast path.
     """
     ext: Optional[Telemetry] = runner.telemetry
     if ext is not None and ext.enabled:
         return TelemetrySynth(ext, detail=True)
-    if runner.trace:
-        hub = Telemetry(enabled=True)
-        if ext is not None and ext.has_sinks:
-            hub.add_sink(ext.as_sink())
-        return TelemetrySynth(hub, detail=False)
     if ext is not None and ext.has_sinks:
         return TelemetrySynth(ext, detail=False)
     return None

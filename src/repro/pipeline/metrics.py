@@ -12,15 +12,28 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sim import StatAccumulator
 
-__all__ = ["RunMetrics", "RunResult"]
+__all__ = ["RunMetrics", "RunResult", "idle_sample"]
+
+
+def idle_sample(t: float, seconds: float) -> float:
+    """The idle sample of a wait of ``seconds`` that ended at ``t``.
+
+    Taken as the width ``t - (t - seconds)`` of the ``idle`` span the
+    stage emits, not as ``seconds`` itself: the two can differ in the
+    last bit (when the wait began before ``t / 2``), and this way the
+    samples equal, float for float, the ones the insight engine rebuilds
+    from a hub's idle spans.  Both engines record their idle samples
+    through this one function.
+    """
+    return t - (t - seconds)
 
 
 class RunMetrics:
     """Mutable collector the stages write into during a run.
 
-    Samples are appended unchecked on the hot paths (the event engine's
-    span sink, the batched engine's actor bodies); :meth:`check` rejects
-    a negative one before any quartile or mean is taken from them.
+    Samples are appended unchecked on the hot paths (both engines' stage
+    loops); :meth:`check` rejects a negative one before any quartile or
+    mean is taken from them.
     """
 
     def __init__(self) -> None:

@@ -27,7 +27,6 @@ from ..obsv.eventlog import EVENT_LOG
 from ..rcce import RCCEComm
 from ..scc import SCCChip, SCCConfig
 from ..sim import Simulator
-from ..sim.trace import TraceRecorder
 from ..telemetry import Telemetry
 from .arrangements import Placement
 from .costmodel import CostModel
@@ -80,9 +79,10 @@ class PipelineRunner:
         RNG seed for the stochastic filters in payload mode.
     telemetry:
         An enabled :class:`~repro.telemetry.Telemetry` hub to instrument
-        the run (events, counters, Chrome traces); available as
-        ``self.last_telemetry`` afterwards.  When omitted, a private
-        disabled hub carries the metrics with near-zero overhead.
+        the run (events, counters, Chrome traces, Gantt charts);
+        available as ``self.last_telemetry`` afterwards.  When omitted,
+        the run emits no telemetry at all; its metrics never depend on
+        the hub.
     sanitizers:
         A :class:`~repro.analysis.sanitizers.SanitizerSuite` to run the
         MPB-race / event-lifecycle / sim-clock checkers during the
@@ -106,7 +106,6 @@ class PipelineRunner:
         seed: int = 0,
         placement: Optional[Placement] = None,
         frequency_plan: Optional[dict] = None,
-        trace: bool = False,
         telemetry: Optional[Telemetry] = None,
         sanitizers: Optional[Any] = None,
         engine: str = "event",
@@ -155,9 +154,6 @@ class PipelineRunner:
         #: an affected voltage island follow the island's minimum planned
         #: frequency so whole islands can change voltage.
         self.frequency_plan = frequency_plan
-        #: when True, record per-stage busy spans (see repro.sim.trace);
-        #: available as ``self.last_trace`` after the run
-        self.trace = trace
         #: optional telemetry hub shared by all subsystems of the run
         self.telemetry = telemetry
         #: optional runtime-sanitizer suite (duck-typed: the runner never
@@ -251,8 +247,8 @@ class PipelineRunner:
                              sim_events=0)
                 return result
             # declined (payload mode, sanitizers, sampled power — see
-            # BATCHED_DECLINE_REASONS; telemetry and tracing are
-            # synthesized now) — the event engine is the one true result
+            # BATCHED_DECLINE_REASONS; telemetry is synthesized) — the
+            # event engine is the one true result
         sim = Simulator()
         if obs is not None:
             self._log_start(obs)
@@ -287,7 +283,6 @@ class PipelineRunner:
             mcpc=mcpc,
             rng=np.random.default_rng(self.seed),
             seed=self.seed,
-            trace=TraceRecorder() if self.trace else None,
             telemetry=telemetry,
         )
 
@@ -304,9 +299,6 @@ class PipelineRunner:
             if suite is not None:
                 suite.check_teardown(sim, processes)
         finally:
-            # The metrics/trace sinks are per-run; leave a caller-supplied
-            # hub clean so a second run does not double-record.
-            ctx.detach_sinks()
             if suite is not None:
                 telemetry.detach_sanitizers()
 
@@ -314,7 +306,6 @@ class PipelineRunner:
         self.last_metrics = ctx.metrics
         self.last_chip = chip
         self.last_viewer = ctx.viewer
-        self.last_trace = ctx.trace
         self.last_telemetry = telemetry
         trace = []
         if self.power_trace_dt is not None:

@@ -47,8 +47,8 @@ from ..scc import SCCChip
 from ..scc.topology import SIF_LOCATION
 from ..sim import Simulator, Store
 from ..sim.process import Process
-from ..sim.trace import TraceRecorder
-from ..telemetry import MetricsSink, Telemetry, TraceSink
+from ..telemetry import Telemetry
+from . import metrics as run_metrics
 from .arrangements import Placement, make_placement
 from .costmodel import CostModel
 from .metrics import RunMetrics
@@ -283,32 +283,12 @@ class StageContext:
         default_factory=lambda: np.random.default_rng(0))
     #: root seed for per-stage RNG streams (payload mode)
     seed: int = 0
-    #: optional activity recorder (one track per stage instance)
-    trace: Optional[TraceRecorder] = None
-    #: the telemetry hub the stages report into; a private disabled hub
-    #: is created when none is given so the metrics/trace sinks always
-    #: have somewhere to listen
-    telemetry: Optional[Telemetry] = None
+    #: the telemetry hub the stages report their spans into (a private
+    #: disabled one, which costs nothing, when none is given)
+    telemetry: Telemetry = field(
+        default_factory=lambda: Telemetry(enabled=False))
     #: the host queues, created on first use (see :meth:`queue`)
     queues: Dict[str, Store] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.telemetry is None:
-            self.telemetry = Telemetry(enabled=False)
-        # RunMetrics and TraceRecorder are thin consumers of the hub:
-        # stages emit spans, these sinks translate them.  They are
-        # per-context, so detach them (detach_sinks) before reusing an
-        # externally supplied hub for another run.
-        self._sinks = [self.telemetry.add_sink(MetricsSink(self.metrics))]
-        if self.trace is not None:
-            self._sinks.append(self.telemetry.add_sink(TraceSink(self.trace)))
-
-    def detach_sinks(self) -> None:
-        """Remove this context's metrics/trace sinks from the hub."""
-        assert self.telemetry is not None
-        for sink in self._sinks:
-            self.telemetry.remove_sink(sink)
-        self._sinks = []
 
     @property
     def sim(self) -> Simulator:
@@ -339,10 +319,12 @@ class StageContext:
 class StageTelemetry:
     """The stage-level spans and counters, emitted alike by both engines.
 
-    Without ``detail`` only the busy/idle spans the metrics and trace
-    sinks consume are emitted; ``detail`` (the hub's ``enabled`` flag on
-    the event kernel) adds the core bindings, the per-instance counters
-    and the ``wait`` and host spans.
+    Without ``detail`` only the stage busy/idle spans are emitted (what
+    a live sink such as the progress tracker reads, and what the Gantt
+    chart draws); ``detail`` (the hub's ``enabled`` flag on the event
+    kernel) adds the core bindings, the per-instance counters and the
+    ``wait`` and host spans.  The spans carry no run metrics: both
+    engines write those to :class:`RunMetrics` themselves.
     """
 
     __slots__ = ("hub", "detail", "counters")
@@ -374,17 +356,17 @@ class StageTelemetry:
 
     def stage_wait(self, track: str, t: float, seconds: float,
                    src_core: int) -> None:
-        """A later input's wait: a distinct span name, so the metrics
-        sink ignores it while the insight engine still sees the full
-        starvation window."""
+        """A later input's wait: a distinct span name, so it stays apart
+        from the Fig. 15 ``idle`` samples while the insight engine still
+        sees the full starvation window."""
         if self.detail and seconds > 0:
             self.hub.span("stage", track, "wait", t - seconds, t,
                           src_core=src_core)
 
     def host_busy(self, track: str, t0: float, t1: float,
                   frame: int) -> None:
-        # Category "host", not "stage": the MCPC is no SCC core and must
-        # stay invisible to RunMetrics' stage sink.
+        # Category "host", not "stage": the MCPC is no SCC core, so it
+        # has no Fig. 15 samples and no row in the stage Gantt chart.
         if self.detail:
             self.hub.span("host", track, "busy", t0, t1, frame=frame)
 
@@ -392,7 +374,6 @@ class StageTelemetry:
 def start_stage(stage: Stage, ctx: StageContext) -> Process:
     """Spawn ``stage``'s frame loop on the context's simulator."""
     tel = ctx.telemetry
-    assert tel is not None
     emit = StageTelemetry(tel, tel.enabled)
     if stage.core is not None:
         emit.bind(stage.track, stage.core, ctx.sim.now)
@@ -415,14 +396,20 @@ def _frame_loop(stage: Stage, ctx: StageContext, emit: StageTelemetry
     comm = ctx.comm
     metrics = ctx.metrics
     core = -1 if stage.core is None else stage.core
+    key = stage.key
     track = stage.track
     frame_bytes = ctx.workload.frame_bytes()
     n_inputs = stage.inputs
     payloads = _payload_step(stage, ctx) if ctx.payload_mode else None
 
+    def idle(seconds: float) -> None:
+        now = sim.now
+        metrics.record_idle(key, run_metrics.idle_sample(now, seconds))
+        emit.stage_idle(track, now, seconds)
+
     def waited(index: int, src: int) -> Callable[[float], None]:
         if index == 0:  # the first input's wait is the Fig. 15 sample
-            return lambda seconds: emit.stage_idle(track, sim.now, seconds)
+            return idle
         return lambda seconds: emit.stage_wait(track, sim.now, seconds, src)
 
     waits = [waited(i, op.peer) for i, op in enumerate(
@@ -488,6 +475,7 @@ def _frame_loop(stage: Stage, ctx: StageContext, emit: StageTelemetry
         if core < 0:
             emit.host_busy(track, start, sim.now, frame)
         else:
+            metrics.record_busy(key, sim.now - start)
             emit.stage_busy(track, start, sim.now, frame)
 
 

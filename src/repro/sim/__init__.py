@@ -25,7 +25,7 @@ from .events import AllOf, AnyOf, ConditionValue, Event, Timeout
 from .monitor import StatAccumulator, TimeSeries, quantile
 from .process import Process
 from .resources import Container, Request, Resource, Store
-from .trace import Span, TraceRecorder, render_gantt
+from .trace import render_gantt
 
 __all__ = [
     "Simulator",
@@ -47,7 +47,5 @@ __all__ = [
     "StatAccumulator",
     "TimeSeries",
     "quantile",
-    "Span",
-    "TraceRecorder",
     "render_gantt",
 ]

@@ -1,132 +1,54 @@
-"""Activity tracing: record labelled spans, render ASCII Gantt charts.
+"""ASCII Gantt charts of a run's stage activity.
 
 The paper reasons about pipelines in terms of per-stage busy/idle
-windows (its Fig. 15 is exactly that data, summarized).  A
-:class:`TraceRecorder` collects ``(track, label, t0, t1)`` spans from a
-running simulation; :func:`render_gantt` turns them into a fixed-width
-chart, which the examples use to *show* the pipeline filling, the
-bottleneck stage saturating, and everything downstream idling.
+windows (its Fig. 15 is exactly that data, summarized).
+:func:`render_gantt` draws the ``stage`` spans of a telemetry hub as a
+fixed-width chart, which ``repro run --gantt`` and the examples use to
+*show* the pipeline filling, the bottleneck stage saturating, and
+everything downstream idling.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Span", "TraceRecorder", "render_gantt"]
+if TYPE_CHECKING:  # the hub lives a layer above the kernel
+    from ..telemetry import Telemetry
 
+__all__ = ["render_gantt"]
 
-@dataclass(frozen=True)
-class Span:
-    """One labelled activity window on one track."""
-
-    track: str
-    label: str
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError("span ends before it starts")
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+#: stage span names that are waits: drawn as gaps, not as activity
+_WAITS = ("idle", "wait")
 
 
-class TraceRecorder:
-    """Collects spans, grouped by track (one track per stage/core)."""
-
-    def __init__(self) -> None:
-        self._spans: List[Span] = []
-
-    # -- recording ------------------------------------------------------------
-    def add(self, track: str, label: str, start: float, end: float) -> Span:
-        """Record a complete span."""
-        span = Span(track, label, start, end)
-        self._spans.append(span)
-        return span
-
-    # -- queries ------------------------------------------------------------
-    @property
-    def spans(self) -> List[Span]:
-        return list(self._spans)
-
-    def tracks(self) -> List[str]:
-        """Track names in first-appearance order."""
-        seen: List[str] = []
-        for span in self._spans:
-            if span.track not in seen:
-                seen.append(span.track)
-        return seen
-
-    def spans_on(self, track: str) -> List[Span]:
-        return [s for s in self._spans if s.track == track]
-
-    def busy_fraction(self, track: str, t0: float, t1: float) -> float:
-        """Fraction of ``[t0, t1]`` covered by spans on ``track``.
-
-        Overlapping spans are merged first so the result is a true
-        coverage fraction in [0, 1].
-        """
-        if t1 <= t0:
-            raise ValueError("empty window")
-        windows = sorted(
-            (max(s.start, t0), min(s.end, t1))
-            for s in self.spans_on(track)
-            if s.end > t0 and s.start < t1
-        )
-        merged: List[float] = []
-        cur_start: Optional[float] = None
-        cur_end = 0.0
-        for a, b in windows:
-            if cur_start is None:
-                cur_start, cur_end = a, b
-            elif a <= cur_end:
-                cur_end = max(cur_end, b)
-            else:
-                merged.append(cur_end - cur_start)
-                cur_start, cur_end = a, b
-        if cur_start is not None:
-            merged.append(cur_end - cur_start)
-        return math.fsum(merged) / (t1 - t0)
-
-    @property
-    def horizon(self) -> float:
-        """Latest span end (0 when empty)."""
-        return max((s.end for s in self._spans), default=0.0)
-
-    def to_chrome_trace(self) -> dict:
-        """This recorder as a Chrome trace-event JSON document.
-
-        Delegates to :func:`repro.telemetry.spans_to_chrome`; the result
-        loads in Perfetto / ``chrome://tracing`` with one thread row per
-        track.
-        """
-        from ..telemetry import spans_to_chrome
-
-        return spans_to_chrome(self._spans)
-
-
-def render_gantt(recorder: TraceRecorder, width: int = 72,
+def render_gantt(telemetry: "Telemetry", width: int = 72,
                  t0: float = 0.0, t1: Optional[float] = None,
                  tracks: Optional[Sequence[str]] = None) -> str:
-    """Render tracks as fixed-width ASCII bars.
+    """Render a hub's ``stage`` activity spans as fixed-width ASCII bars.
 
-    Each column covers ``(t1 - t0) / width`` seconds; a cell prints the
-    first letter of the label active at the column's midpoint (``.`` =
-    idle).  When several spans of one track cover the midpoint (spans
-    may overlap), the **latest-started covering span** wins — a short
-    recent span does not hide an earlier one that is still open.
+    One row per track, in the order the tracks' first activity span was
+    emitted; waits (``idle`` and ``wait`` spans) stay gaps.  ``t1``
+    defaults to the last activity end.  Each column covers
+    ``(t1 - t0) / width`` seconds; a cell prints the first letter of the
+    span name active at the column's midpoint (``.`` = idle).  When
+    several spans of one track cover the midpoint (spans may overlap),
+    the **latest-started covering span** wins — a short recent span does
+    not hide an earlier one that is still open.
     """
     if width < 8:
         raise ValueError("width must be >= 8")
-    end = t1 if t1 is not None else recorder.horizon
+    rows: Dict[str, List[Tuple[float, float, str]]] = {}
+    for event in telemetry.events_in("stage"):
+        if event.kind == "span" and event.name not in _WAITS:
+            assert event.track is not None
+            rows.setdefault(event.track, []).append(
+                (event.t, event.end, event.name))
+    end = t1 if t1 is not None else max(
+        (span[1] for spans in rows.values() for span in spans), default=0.0)
     if end <= t0:
         raise ValueError("empty time window")
-    names = list(tracks) if tracks is not None else recorder.tracks()
+    names = list(tracks) if tracks is not None else list(rows)
     if not names:
         raise ValueError("nothing to render")
     label_w = max(len(n) for n in names)
@@ -134,8 +56,8 @@ def render_gantt(recorder: TraceRecorder, width: int = 72,
 
     lines = [f"{'':{label_w}}  t0={t0:g}s  dt/col={dt:g}s  t1={end:g}s"]
     for name in names:
-        spans = sorted(recorder.spans_on(name), key=lambda s: s.start)
-        starts = [s.start for s in spans]
+        spans = sorted(rows.get(name, ()), key=lambda s: s[0])
+        starts = [s[0] for s in spans]
         row = []
         for col in range(width):
             mid = t0 + (col + 0.5) * dt
@@ -146,8 +68,8 @@ def render_gantt(recorder: TraceRecorder, width: int = 72,
             # (i.e. latest-started) span that actually covers it.
             idx = bisect_right(starts, mid) - 1
             while idx >= 0:
-                if spans[idx].end > mid:
-                    char = (spans[idx].label[:1] or "#")
+                if spans[idx][1] > mid:
+                    char = (spans[idx][2][:1] or "#")
                     break
                 idx -= 1
             row.append(char)

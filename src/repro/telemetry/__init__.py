@@ -24,7 +24,6 @@ from .export import (
     chrome_trace,
     counters_dump,
     events_from_chrome,
-    spans_to_chrome,
     top_report,
     validate_chrome_trace,
     write_chrome_trace,
@@ -32,17 +31,13 @@ from .export import (
 )
 from .hub import (
     NULL_TELEMETRY,
-    MetricsSink,
     Telemetry,
     TelemetryEvent,
-    TraceSink,
 )
 
 __all__ = [
     "Telemetry",
     "TelemetryEvent",
-    "MetricsSink",
-    "TraceSink",
     "NULL_TELEMETRY",
     "Counter",
     "Gauge",
@@ -52,7 +47,6 @@ __all__ = [
     "KNOWN_METRIC_ROOTS",
     "chrome_trace",
     "events_from_chrome",
-    "spans_to_chrome",
     "write_chrome_trace",
     "counters_dump",
     "write_counters",

@@ -26,7 +26,6 @@ from .hub import Telemetry, TelemetryEvent
 
 __all__ = [
     "chrome_trace",
-    "spans_to_chrome",
     "write_chrome_trace",
     "events_from_chrome",
     "counters_dump",
@@ -103,19 +102,6 @@ def chrome_trace(telemetry: Union[Telemetry, Sequence[TelemetryEvent]],
         "traceEvents": ids.metadata + converted,
         "displayTimeUnit": "ms",
     }
-
-
-def spans_to_chrome(spans: Sequence[Any],
-                    category: str = "trace") -> Dict[str, Any]:
-    """Chrome trace from raw :class:`~repro.sim.trace.Span` objects.
-
-    Backs :meth:`~repro.sim.trace.TraceRecorder.to_chrome_trace`, so a
-    recorder can be dumped without going through a hub.
-    """
-    events = [TelemetryEvent("span", category, s.label, s.start,
-                             dur=s.end - s.start, track=s.track)
-              for s in spans]
-    return chrome_trace(events)
 
 
 def write_chrome_trace(path: Union[str, Path],

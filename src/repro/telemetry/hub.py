@@ -2,8 +2,11 @@
 
 One :class:`Telemetry` instance accompanies a simulation; every
 instrumented subsystem (mesh, memory controllers, MPBs, DVFS, power,
-pipeline stages) reports into it and every consumer (run metrics, Gantt
-traces, Chrome-trace export, top reports) reads out of it.
+pipeline stages) reports into it and every span consumer (Chrome-trace
+export, Gantt charts, top reports, the insight engine, live progress)
+reads out of it.  Run metrics are not among them: the stages write
+their Fig. 15 samples to :class:`~repro.pipeline.metrics.RunMetrics`
+directly, so a run without a hub builds no events at all.
 
 Design rules
 ------------
@@ -11,12 +14,12 @@ Design rules
   ``if telemetry.enabled:`` before building any event, so a disabled hub
   costs one attribute check per instrumentation site.  Low-frequency
   call sites (one event per stage per frame) may emit unconditionally —
-  a disabled hub with no sinks returns immediately.
+  a disabled hub with no sinks returns before building an event.
 * **Sinks observe everything.**  A sink is any callable taking a
   :class:`TelemetryEvent`.  Sinks fire for every event *regardless of*
-  ``enabled`` — that is how :class:`~repro.pipeline.metrics.RunMetrics`
-  and :class:`~repro.sim.TraceRecorder` stay thin consumers of the hub
-  even in runs that collect no telemetry (the Fig. 15 path).
+  ``enabled`` — that is how live progress
+  (:class:`~repro.obsv.progress.FrameProgressSink`) follows a run that
+  retains no telemetry.
 * **Retention only when enabled.**  The ``events`` buffer (what the
   Chrome-trace exporter reads) fills only while ``enabled`` is True.
 * **Periodic regions stay symbolic.**  A producer that knows a window of
@@ -47,8 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .counters import CounterRegistry
 
-__all__ = ["TelemetryEvent", "Telemetry", "MetricsSink", "TraceSink",
-           "NULL_TELEMETRY"]
+__all__ = ["TelemetryEvent", "Telemetry", "NULL_TELEMETRY"]
 
 
 @dataclass
@@ -151,14 +153,6 @@ class Telemetry:
     @property
     def has_sinks(self) -> bool:
         return bool(self._sinks)
-
-    def as_sink(self) -> Sink:
-        """This hub as a sink for another hub (hub-to-hub forwarding).
-
-        Events dispatched by the upstream hub are retained/observed here
-        under this hub's own ``enabled``/sink rules.
-        """
-        return self._dispatch
 
     # -- emission ------------------------------------------------------------
     def _dispatch(self, event: TelemetryEvent) -> None:
@@ -269,8 +263,8 @@ class Telemetry:
         Events append to the retained buffer (only while ``enabled``,
         matching live emission) and counters fold via
         :meth:`~repro.telemetry.counters.CounterRegistry.merge_snapshot`.
-        Sinks do **not** re-observe ingested events: per-run sinks
-        (RunMetrics, traces) already consumed them in the worker.
+        Sinks do **not** re-observe ingested events: they watch live
+        emission only.
         """
         if self.enabled:
             self._events.extend(snapshot.get("events", ()))
@@ -317,51 +311,6 @@ class Telemetry:
         state = "on" if self.enabled else "off"
         return (f"<Telemetry {state} events={self.event_count} "
                 f"metrics={len(self.counters)} sinks={len(self._sinks)}>")
-
-
-def _base_key(track: str) -> str:
-    """Stage kind without the per-pipeline suffix (``blur[2]`` -> ``blur``)."""
-    return track.split("[")[0]
-
-
-class MetricsSink:
-    """Feeds ``stage`` busy/idle spans into a RunMetrics-like collector.
-
-    This is what makes :class:`~repro.pipeline.metrics.RunMetrics` a thin
-    consumer of the hub: the stages emit spans, the sink translates them
-    into the ``record_busy`` / ``record_idle`` calls the Fig. 15 path has
-    always used.
-    """
-
-    def __init__(self, metrics: Any) -> None:
-        self.metrics = metrics
-
-    def __call__(self, event: TelemetryEvent) -> None:
-        if event.kind != "span" or event.category != "stage":
-            return
-        assert event.track is not None
-        if event.name == "busy":
-            self.metrics.record_busy(_base_key(event.track), event.dur)
-        elif event.name == "idle":
-            self.metrics.record_idle(_base_key(event.track), event.dur)
-
-
-class TraceSink:
-    """Feeds ``stage`` busy spans into a :class:`~repro.sim.TraceRecorder`.
-
-    Only busy spans are forwarded so ``busy_fraction`` and the ASCII
-    Gantt chart keep their historical meaning (idle windows stay
-    implicit as gaps).
-    """
-
-    def __init__(self, recorder: Any) -> None:
-        self.recorder = recorder
-
-    def __call__(self, event: TelemetryEvent) -> None:
-        if (event.kind == "span" and event.category == "stage"
-                and event.name == "busy"):
-            assert event.track is not None
-            self.recorder.add(event.track, "busy", event.t, event.end)
 
 
 #: A shared always-disabled hub for subsystems constructed without one.

@@ -114,9 +114,7 @@ def test_decline_reasons():
         PipelineRunner(payload_mode=True, **base)) is not None
     assert batched_decline_reason(
         PipelineRunner(power_trace_dt=0.1, **base)) is not None
-    # telemetry and tracing are synthesized now — no longer declined
-    assert batched_decline_reason(
-        PipelineRunner(trace=True, **base)) is None
+    # telemetry is synthesized — never declined
     assert batched_decline_reason(
         PipelineRunner(telemetry=Telemetry(), **base)) is None
     assert batched_decline_reason(

@@ -16,6 +16,8 @@ The contract (docs/observability.md, "Observing the batched engine"):
   ``scripts/validate_trace.py`` gate (monotone counters, per-core
   non-overlapping stage slices, required track families) passes on a
   trace the batched engine produced;
+* **the Gantt chart is engine-independent** — ``repro run --gantt``
+  draws the same pinned chart from either engine's hub spans;
 * **counters match across the matrix** — a Hypothesis sweep over
   config x pipelines x frames keeps every counter glued to the event
   engine's (exactly for counts, to float tolerance where a jump
@@ -33,6 +35,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import (Tolerances, analyze_telemetry, diff_snapshots,
                             snapshot_from_result)
+from repro.cli import main
+from repro.engine import BatchedEngine
 from repro.pipeline import PipelineRunner
 from repro.telemetry import Telemetry, chrome_trace, write_chrome_trace
 from repro.telemetry.export import write_counters
@@ -167,20 +171,33 @@ def test_validate_trace_clean_on_synthesized_trace(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-# -- spans-only (sink/trace) fidelity -----------------------------------------
+# -- the Gantt chart ----------------------------------------------------------
 
-def test_trace_only_run_matches_event_gantt():
-    """``trace=True`` without a hub must reproduce the event engine's
-    TraceRecorder spans exactly (the Gantt/--gantt surface)."""
-    runners = {}
-    for engine in ("event", "batched"):
-        runner = PipelineRunner(config="mcpc_renderer", pipelines=3,
-                                frames=12, trace=True, engine=engine)
-        runner.run()
-        runners[engine] = runner.last_trace
-    spans = lambda rec: sorted(  # noqa: E731 - local one-liner
-        (s.track, s.label, s.start, s.end) for s in rec.spans)
-    assert spans(runners["batched"]) == spans(runners["event"])
+GANTT_DIR = pathlib.Path(__file__).with_name("gantt")
+
+
+@pytest.mark.parametrize("config,pipelines,frames,jumps", [
+    pytest.param("one_renderer", 2, 60, True, id="one_renderer-2-60"),
+    pytest.param("n_renderers", 7, 40, False, id="n_renderers-7-40"),
+])
+def test_run_gantt_chart_is_pinned_on_both_engines(capsys, config, pipelines,
+                                                   frames, jumps):
+    """``repro run --gantt`` prints the chart pinned in ``gantt/`` on both
+    engines, byte for byte — at a point where the batched engine jumps
+    and at one where it does not."""
+    engine = BatchedEngine(PipelineRunner(
+        config=config, pipelines=pipelines, frames=frames,
+        engine="batched", telemetry=Telemetry()))
+    engine.run()
+    assert bool(engine.jumps) == jumps
+    pinned = (GANTT_DIR / f"{config}-{pipelines}-{frames}.txt").read_text()
+    for name in ("event", "batched"):
+        assert main(["run", "--config", config, "--pipelines",
+                     str(pipelines), "--frames", str(frames),
+                     "--engine", name, "--gantt"]) == 0
+        summary, chart = capsys.readouterr().out.split("\n\n", 1)
+        assert "walkthrough" in summary
+        assert chart == pinned
 
 
 # -- Hypothesis: counters glued across the matrix -----------------------------

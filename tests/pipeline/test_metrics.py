@@ -3,6 +3,7 @@
 import pytest
 
 from repro.pipeline import PipelineRunner
+from repro.pipeline import metrics as run_metrics
 from repro.pipeline.metrics import RunMetrics
 
 
@@ -28,11 +29,18 @@ def test_negative_samples_are_rejected_before_summaries(table):
         metrics.busy_means()
 
 
-def test_batched_run_rejects_a_negative_idle_sample(monkeypatch):
-    import repro.engine.batched as batched
-
-    monkeypatch.setattr(batched, "_idle_value", lambda t, start: -1.0)
+@pytest.mark.parametrize("engine", ["event", "batched"])
+def test_run_rejects_a_negative_idle_sample(monkeypatch, engine):
+    # Both engines take their idle samples from the one shared helper.
+    monkeypatch.setattr(run_metrics, "idle_sample", lambda t, seconds: -1.0)
     runner = PipelineRunner(config="one_renderer", pipelines=1, frames=6,
-                            image_side=64, engine="batched")
+                            image_side=64, engine=engine)
     with pytest.raises(ValueError, match="idle time must be >= 0"):
         runner.run()
+
+
+def test_idle_sample_is_the_width_of_the_wait_window():
+    # t - (t - seconds), not seconds: the two differ in the last bit here.
+    t, seconds = 13.436424411240122, 0.8474337369372327
+    assert run_metrics.idle_sample(t, seconds) == t - (t - seconds)
+    assert run_metrics.idle_sample(t, seconds) != seconds

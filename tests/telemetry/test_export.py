@@ -4,13 +4,11 @@ import json
 
 import pytest
 
-from repro.sim import TraceRecorder
 from repro.telemetry import (
     CounterRegistry,
     Telemetry,
     chrome_trace,
     counters_dump,
-    spans_to_chrome,
     top_report,
     validate_chrome_trace,
     write_chrome_trace,
@@ -74,18 +72,6 @@ def test_validator_flags_problems():
     ]}
     problems = validate_chrome_trace(backwards)
     assert len(problems) == 1 and "backwards" in problems[0]
-
-
-def test_spans_to_chrome_and_recorder_delegation():
-    rec = TraceRecorder()
-    rec.add("blur[0]", "busy", 0.0, 1.0)
-    rec.add("swap[0]", "busy", 1.0, 2.0)
-    doc = rec.to_chrome_trace()
-    assert doc == spans_to_chrome(rec.spans)
-    assert validate_chrome_trace(doc) == []
-    names = {e["args"]["name"] for e in doc["traceEvents"]
-             if e["ph"] == "M" and e["name"] == "thread_name"}
-    assert names == {"blur[0]", "swap[0]"}
 
 
 def test_write_chrome_trace(tmp_path):

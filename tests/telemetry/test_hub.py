@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.pipeline.metrics import RunMetrics
-from repro.sim import TraceRecorder
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    MetricsSink,
-    Telemetry,
-    TraceSink,
-)
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 
 def test_span_retained_with_fields():
@@ -79,31 +72,6 @@ def test_queries_tracks_horizon_clear():
     assert tel.horizon == pytest.approx(4.0)
     tel.clear()
     assert tel.events == [] and tel.horizon == 0.0
-
-
-def test_metrics_sink_translates_stage_spans():
-    tel = Telemetry()
-    metrics = RunMetrics()
-    tel.add_sink(MetricsSink(metrics))
-    tel.span("stage", "blur[2]", "busy", 0.0, 1.5)
-    tel.span("stage", "blur[2]", "idle", 1.5, 2.0)
-    tel.span("mesh", "link", "xfer", 0.0, 1.0)  # ignored by the sink
-    assert metrics.busy["blur"].count == 1
-    assert metrics.busy["blur"].total == pytest.approx(1.5)
-    assert metrics.idle["blur"].total == pytest.approx(0.5)
-    assert "link" not in metrics.busy
-
-
-def test_trace_sink_forwards_only_busy_spans():
-    tel = Telemetry()
-    rec = TraceRecorder()
-    tel.add_sink(TraceSink(rec))
-    tel.span("stage", "blur[0]", "busy", 0.0, 1.0)
-    tel.span("stage", "blur[0]", "idle", 1.0, 2.0)
-    tel.span("mesh", "link", "xfer", 0.0, 1.0)
-    spans = rec.spans
-    assert len(spans) == 1
-    assert spans[0].track == "blur[0]" and spans[0].label == "busy"
 
 
 def test_null_telemetry_is_disabled():

@@ -6,7 +6,8 @@ from repro.pipeline import PipelineRunner
 from repro.rcce import RCCEComm
 from repro.scc import SCCChip
 from repro.sim import Simulator
-from repro.telemetry import Telemetry, chrome_trace, validate_chrome_trace
+from repro.telemetry import (Telemetry, TelemetryEvent, chrome_trace,
+                             validate_chrome_trace)
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +70,27 @@ def test_default_run_collects_no_telemetry():
     assert tel.enabled is False
     assert tel.events == []
     assert len(tel.counters) == 0
-    # ...but the metrics still flowed through the hub's sink.
+    # ...but the stages still wrote their metrics.
     assert runner.last_metrics.busy["blur"].count == 4
+
+
+@pytest.mark.parametrize("engine", ["event", "batched"])
+def test_plain_run_builds_no_telemetry_events(monkeypatch, engine):
+    # Without a hub the metrics are written directly: not one event is
+    # built for them, not even for a sink.
+    built = []
+    init = TelemetryEvent.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TelemetryEvent, "__init__", counting_init)
+    runner = PipelineRunner(config="mcpc_renderer", pipelines=3, frames=20,
+                            engine=engine)
+    runner.run()
+    assert runner.last_metrics.busy["blur"].count == 3 * 20
+    assert built == []
 
 
 def test_telemetry_does_not_change_simulated_time():
@@ -87,7 +107,7 @@ def test_hub_reuse_across_runs_detaches_sinks():
     r1 = PipelineRunner(config="one_renderer", pipelines=1, frames=4,
                         telemetry=tel)
     r1.run()
-    assert tel._sinks == []  # per-run sinks removed
+    assert tel._sinks == []  # a run attaches no sinks to the hub
     r2 = PipelineRunner(config="one_renderer", pipelines=1, frames=4,
                         telemetry=tel)
     r2.run()

@@ -27,6 +27,40 @@ def test_run_command_with_gantt(capsys):
     assert "t0=" in out
 
 
+def test_run_gantt_rejects_json(capsys):
+    assert main(["run", "--config", "one_renderer", "--pipelines", "1",
+                 "--frames", "4", "--gantt", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--gantt is incompatible with --json" in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--gantt"], ["--trace-out", "run.json"], ["--sanitize"], ["--json"],
+    ["--engine", "batched"], ["--cache-dir", "cache"],
+    ["--sanitize", "--trace-out", "run.json"],
+])
+def test_run_strict_differential_rejects_flags_it_would_ignore(
+        tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "one_renderer", "--pipelines", "1",
+                 "--frames", "4", "--strict-differential", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--strict-differential" in captured.err
+    for flag in flags:
+        if flag.startswith("--"):
+            assert flag in captured.err
+    assert list(tmp_path.iterdir()) == []  # no trace, no cache written
+
+
+def test_run_strict_differential_accepts_no_cache(capsys):
+    assert main(["run", "--config", "one_renderer", "--pipelines", "1",
+                 "--frames", "4", "--strict-differential",
+                 "--no-cache"]) == 0
+    assert "strict differential" in capsys.readouterr().out
+
+
 def test_run_command_with_trace_out(tmp_path):
     import json
 
